@@ -2,10 +2,15 @@
 
 Central-band masses P(|X - np| <= c*sqrt(n)/2) are summed exactly in
 rational arithmetic up to n = 4096 (2^n denominators stay affordable
-there) and in compensated floating point above.  The limiting band
-probability integrates the kernel (2/sqrt(2*pi))*exp(-2 t^2) numerically;
-the closed-form erf route is deliberately left to the test suite as an
-independent oracle.  Band endpoints are inclusive throughout.
+there) and in compensated floating point above.  One kernel, `_band_mass`,
+takes every exact band sum, for the central band and for the sample-size
+scan alike: an integer recurrence steps each binomial coefficient from the
+last and accumulates the terms by Horner's rule, so a band takes one
+math.comb and three big powers in all, not a comb and two powers per term.
+The limiting band probability integrates the kernel
+(2/sqrt(2*pi))*exp(-2 t^2) numerically; the closed-form erf route is
+deliberately left to the test suite as an independent oracle.  Band
+endpoints are inclusive throughout.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 RATIONAL_LIMIT = 4096
+MAX_WORKERS = 32
 _SIM_CHUNK = 4096
 
 
@@ -44,12 +50,18 @@ class CentralBand:
     half_width: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("band multiplier must be positive")
+        _check_multiplier(self.c)
 
     @classmethod
     def for_trials(cls, c: float, n: int) -> "CentralBand":
         return cls(c=float(c), half_width=float(c) * math.sqrt(n) / 2)
+
+
+def _check_multiplier(c) -> None:
+    if not math.isfinite(c):
+        raise ValueError(f"band multiplier c must be finite, got {c!r}")
+    if c <= 0:
+        raise ValueError("band multiplier must be positive")
 
 
 def band_bounds(spec: TrialSpec, c: float):
@@ -68,16 +80,32 @@ def exact_central_probability(spec: TrialSpec, c: float):
     included via their binary value), a compensated float above.
     """
     lo, hi = band_bounds(spec, c)
-    if lo > hi:
-        return Fraction(0) if spec.n <= RATIONAL_LIMIT else 0.0
     if spec.n <= RATIONAL_LIMIT:
-        p = Fraction(spec.p)
-        num = sum(
-            math.comb(spec.n, k) * p.numerator**k * (p.denominator - p.numerator) ** (spec.n - k)
-            for k in range(lo, hi + 1)
-        )
-        return Fraction(num, p.denominator**spec.n)
+        return _band_mass(spec.n, Fraction(spec.p), lo, hi)
+    if lo > hi:
+        return 0.0
     return _band_probability_float(spec.n, float(spec.p), lo, hi)
+
+
+def _band_mass(n: int, p: Fraction, lo: int, hi: int) -> Fraction:
+    """Exact binomial mass of the counts lo..hi, the one exact band sum.
+
+    With p = a/d and q = d - a the mass is
+    a^lo q^(n-hi) / d^n * sum_k C(n, k) a^(k-lo) q^(hi-k), and the sum is
+    taken by Horner's rule in q while u = C(n, k) a^(k-lo) steps by the
+    exact ratio (n-k) a / (k+1).  Every step multiplies a big integer by a
+    small one; the big powers are taken once, outside the loop.
+    """
+    if lo > hi:
+        return Fraction(0)
+    a = p.numerator
+    q = p.denominator - a
+    u = math.comb(n, lo)
+    total = u
+    for k in range(lo, hi):
+        u = u * (n - k) // (k + 1) * a
+        total = total * q + u
+    return Fraction(total * a**lo * q ** (n - hi), p.denominator**n)
 
 
 def _band_probability_float(n, p, lo, hi):
@@ -151,8 +179,7 @@ def _gauss_kernel(t: float) -> float:
 
 def limit_central_probability(c: float) -> float:
     """Limiting band probability: integral of (2/sqrt(2*pi))*exp(-2t^2) over |t| <= c/2."""
-    if c <= 0:
-        raise ValueError("band multiplier must be positive")
+    _check_multiplier(c)
     value, estimate = quad(_gauss_kernel, -c / 2.0, c / 2.0, epsabs=1e-13, epsrel=1e-13)
     if estimate > 1e-10:
         raise ArithmeticError(f"quadrature error estimate {estimate:g} above 1e-10")
@@ -161,8 +188,7 @@ def limit_central_probability(c: float) -> float:
 
 def limit_tail_probability(c: float) -> float:
     """Complementary integral over |t| > c/2 (two equal tails)."""
-    if c <= 0:
-        raise ValueError("band multiplier must be positive")
+    _check_multiplier(c)
     value, estimate = quad(_gauss_kernel, c / 2.0, math.inf, epsabs=1e-13, epsrel=1e-13)
     if estimate > 1e-10:
         raise ArithmeticError(f"quadrature error estimate {estimate:g} above 1e-10")
@@ -183,13 +209,7 @@ def _band_probability_exact_frequency(n: int, p: Fraction, c: Fraction) -> Fract
     """P(|X/n - p| <= c) exactly, for the sample-size search."""
     lo = max(0, math.ceil(n * (p - c)))
     hi = min(n, math.floor(n * (p + c)))
-    if lo > hi:
-        return Fraction(0)
-    num = sum(
-        math.comb(n, k) * p.numerator**k * (p.denominator - p.numerator) ** (n - k)
-        for k in range(lo, hi + 1)
-    )
-    return Fraction(num, p.denominator**n)
+    return _band_mass(n, p, lo, hi)
 
 
 def sample_size(p, c, alpha) -> int:
@@ -199,6 +219,8 @@ def sample_size(p, c, alpha) -> int:
     c = 0.05, alpha = 0.05 the satisfying set has holes up to n = 398), so
     the scan walks upward from n = 1; the Gaussian-limit estimate
     (z_{1-alpha/2} / (2c))^2-style seed only scales the progress ceiling.
+    Each n costs one exact band sum by the shared recurrence kernel
+    (one math.comb, then big-by-small integer steps over the band).
     """
     p = Fraction(p)
     c = Fraction(c)
@@ -232,10 +254,13 @@ def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int, workers: int 
     Replications are split into fixed 4096-rep chunks; chunk i draws from
     a PCG64 generator seeded by SeedSequence([seed, i]) and results are
     combined in chunk order, so the output is bit-identical for a given
-    (seed, reps, n) regardless of the worker count.
+    (seed, reps, n) regardless of the worker count, which may be None or
+    0..MAX_WORKERS.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
+    if workers is not None and not 0 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in 0..{MAX_WORKERS}, got {workers}")
     lo, hi = band_bounds(spec, c)
     p = float(spec.p)
 

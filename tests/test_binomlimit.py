@@ -2,10 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from demoivre.binomlimit import (
+    MAX_WORKERS,
     CentralBand,
     TrialSpec,
+    _band_mass,
+    _band_probability_exact_frequency,
+    band_bounds,
     demoivre_term,
     exact_central_probability,
     gaussian_sample_size_estimate,
@@ -20,18 +26,73 @@ from demoivre.binomlimit import (
 HALF = Fraction(1, 2)
 
 
-def enumerate_band_probability(n, p, c):
-    """Oracle: walk every outcome count with Pascal-row coefficients."""
+def pascal_mass(n, p, counts):
+    """Oracle: binomial mass of the given counts, with Pascal-row coefficients."""
     row = [1]
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    half_width = c * math.sqrt(n) / 2
     total = Fraction(0)
     p = Fraction(p)
-    for k, ways in enumerate(row):
-        if abs(k - n * p) <= half_width:
-            total += ways * p**k * (1 - p) ** (n - k)
+    for k in counts:
+        total += row[k] * p**k * (1 - p) ** (n - k)
     return total
+
+
+def enumerate_band_probability(n, p, c):
+    """Oracle: walk every outcome count with Pascal-row coefficients."""
+    half_width = c * math.sqrt(n) / 2
+    return pascal_mass(n, p, [k for k in range(n + 1) if abs(k - n * Fraction(p)) <= half_width])
+
+
+def termwise_band_mass(n, p, lo, hi):
+    """Oracle: the band summed term by term, a fresh comb and two powers each."""
+    if lo > hi:
+        return Fraction(0)
+    num = sum(
+        math.comb(n, k) * p.numerator**k * (p.denominator - p.numerator) ** (n - k)
+        for k in range(lo, hi + 1)
+    )
+    return Fraction(num, p.denominator**n)
+
+
+rational_p = st.integers(2, 60).flatmap(lambda d: st.builds(Fraction, st.integers(1, d - 1), st.just(d)))
+# a float p enters the exact path through its binary value
+binary_p = st.floats(1e-3, 1 - 1e-3).map(Fraction)
+any_p = st.one_of(rational_p, binary_p)
+
+
+@st.composite
+def bands(draw):
+    n = draw(st.integers(1, 120))
+    return n, draw(any_p), draw(st.integers(0, n)), draw(st.integers(0, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bands())
+@example((12, Fraction(1, 3), 0, 5))  # lo = 0
+@example((12, Fraction(1, 3), 4, 12))  # hi = n
+@example((12, Fraction(1, 3), 0, 12))  # the whole row: mass 1
+@example((12, Fraction(1, 3), 7, 6))  # empty band
+@example((30, Fraction(7, 9), 20, 27))  # p > 1/2
+@example((30, Fraction(0.3), 5, 14))  # float p via its binary value
+def test_band_mass_matches_termwise_and_pascal_oracles(band):
+    n, p, lo, hi = band
+    value = _band_mass(n, p, lo, hi)
+    assert value == termwise_band_mass(n, p, lo, hi)
+    assert value == pascal_mass(n, p, range(lo, hi + 1))
+    if lo == 0 and hi == n:
+        assert value == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), any_p, st.integers(1, 400))
+def test_band_entry_points_match_termwise_oracle(n, p, c_hundredths):
+    spec = TrialSpec(n, p)
+    c = c_hundredths / 100
+    assert exact_central_probability(spec, c) == termwise_band_mass(n, p, *band_bounds(spec, c))
+    tol = Fraction(c_hundredths, 1000)
+    lo, hi = max(0, math.ceil(n * (p - tol))), min(n, math.floor(n * (p + tol)))
+    assert _band_probability_exact_frequency(n, p, tol) == termwise_band_mass(n, p, lo, hi)
 
 
 def test_two_coin_band():
@@ -182,9 +243,12 @@ def test_sample_size_halving_c_increases_n():
             assert narrow > wide
 
 
-def test_sample_size_crossing_property():
-    from demoivre.binomlimit import _band_probability_exact_frequency
+def test_sample_size_pinned_at_c_one_fortieth():
+    # the per-term band sum that the kernel replaced returns the same n
+    assert sample_size(HALF, Fraction(1, 40), Fraction(1, 20)) == 1501
 
+
+def test_sample_size_crossing_property():
     for p, c, alpha in ((HALF, Fraction(1, 20), Fraction(1, 20)),
                         (Fraction(3, 10), Fraction(1, 10), Fraction(1, 10))):
         n = sample_size(p, c, alpha)
@@ -216,6 +280,13 @@ def test_simulate_band_worker_invariance():
         assert simulate_band(spec, 1.0, 9999, seed=42, workers=workers) == baseline
 
 
+def test_simulate_band_rejects_worker_counts_out_of_range():
+    # the check runs before a thread pool is built, so no thread starts here
+    for workers in (MAX_WORKERS + 1, -1):
+        with pytest.raises(ValueError, match="workers"):
+            simulate_band(TrialSpec(10, HALF), 1.0, 10, seed=1, workers=workers)
+
+
 def test_trial_spec_and_band_validation():
     with pytest.raises(ValueError):
         TrialSpec(0, HALF)
@@ -223,3 +294,15 @@ def test_trial_spec_and_band_validation():
         TrialSpec(10, Fraction(1))
     with pytest.raises(ValueError):
         CentralBand.for_trials(0, 100)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_non_finite_band_multiplier_is_rejected(c):
+    with pytest.raises(ValueError, match="band multiplier c"):
+        CentralBand.for_trials(c, 100)
+    with pytest.raises(ValueError, match="band multiplier c"):
+        exact_central_probability(TrialSpec(100, HALF), c)
+    with pytest.raises(ValueError, match="band multiplier c"):
+        limit_central_probability(c)
+    with pytest.raises(ValueError, match="band multiplier c"):
+        limit_tail_probability(c)

@@ -104,6 +104,24 @@ def test_domain_errors_exit_3():
     assert code == 3
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [["binom", "limit"], ["binom", "exact", "--n", "100"]])
+def test_non_finite_band_multiplier_exits_3(command, c):
+    code, out, err = run(command + [f"--c={c}"])  # "--c -inf" would parse as an option
+    assert code == 3
+    assert out == ""
+    assert "band multiplier c must be finite" in err
+
+
+@pytest.mark.parametrize("workers", ["33", "-1"])
+def test_simulate_worker_count_out_of_range_exits_3(workers):
+    code, out, err = run(["binom", "simulate", "--n", "100", "--c", "1", "--reps", "10", "--seed", "1",
+                          "--workers", workers])
+    assert code == 3
+    assert out == ""
+    assert "workers must lie in 0..32" in err
+
+
 def test_malformed_table_file_is_domain_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("age,lx\n30,100\n31,200\n")
