@@ -22,6 +22,9 @@ class Ellipse:
     b: float
 
     def __post_init__(self):
+        for name, value in (("semi-major axis a", self.a), ("semi-minor axis b", self.b)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.b > 0:
             raise ValueError("semi-minor axis must be positive")
         if self.a < self.b:

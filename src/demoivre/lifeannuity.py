@@ -1,9 +1,12 @@
 """Life tables, the linear-mortality hypothesis, and curtate annuity pricing.
 
 Payments fall due at year end and the payment for the year of death is
-forfeited (curtate annuity-immediate).  All pricing runs in exact rational
-arithmetic internally -- survivor counts and discount factors convert
-exactly -- and returns a correctly rounded float, so prices are
+forfeited (curtate annuity-immediate).  Single-life, joint-life and
+error-table prices share one kernel, _present_values: it walks a run of
+survivors l_x, l_{x+1}, ... backwards in exact integers -- survivor counts
+and the discount factor convert exactly -- and yields the price at every
+age of the run in one pass.  Each price is one correctly rounded integer
+division, the same float as the exact rational sum, so prices are
 deterministic to the last bit for a given table, age and rate.
 
 The bundled Breslau-style table starts from 646 survivors at age 12 and
@@ -17,9 +20,12 @@ extrapolated tail is marked on the table so downstream output can flag it.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import chain, takewhile
+from operator import mul
 
 MATY_CSV = "maty_breslau.csv"
 
@@ -101,6 +107,9 @@ class RateSpec:
     i: float
 
     def __post_init__(self):
+        # exact rates are finite, and a huge one need not fit in a float
+        if isinstance(self.i, float) and not math.isfinite(self.i):
+            raise ValueError(f"interest rate i must be finite, got {self.i!r}")
         if self.i <= -1:
             raise ValueError("interest rate must exceed -1")
 
@@ -205,20 +214,55 @@ def _support_horizon(model, x: int) -> int:
     return limit(x)
 
 
+def _survival_run(model, x: int, horizon: int):
+    """l_x, l_{x+1}, ..., l_{x+horizon} for a validated age, up to a common factor.
+
+    Tables and the law give survivor counts, so one run serves every age it
+    covers.  Other models are asked for survival probabilities lazily, one
+    term at a time and never past the horizon, with l_x = 1.
+    """
+    if isinstance(model, LifeTable):
+        start = x - model.start_age
+        return model.survivors[start:start + horizon + 1]
+    if isinstance(model, DeMoivreLaw):
+        n = model.omega - x
+        return range(n, n - horizon - 1, -1)
+    return chain((1,), (survival_probability(model, x, t) for t in range(1, horizon + 1)))
+
+
+def _present_values(run, v: Fraction):
+    """Exact curtate annuity prices at every age of a survival run.
+
+    run holds l_x, l_{x+1}, ..., l_{x+n} (ints, Fractions or floats, none
+    zero).  Entry k of the result is a pair of ints (R, D) with
+    R / D = sum over t >= 1 of v^t * l_{x+k+t} / l_{x+k}.  One lcm clears
+    the run's denominators and v = P/Q, so the walk runs backwards in
+    integers: R_k = P * (R_{k+1} + D_{k+1}), D_k = Q^(n-k) * l_{x+k}.
+    No Fraction is built and no gcd is taken; R / D is an int/int true
+    division, correctly rounded like float(Fraction), so it gives the same
+    bits as the rational sum.  Callers divide only the entries they need.
+    """
+    ratios = [l.as_integer_ratio() for l in run]
+    scale = math.lcm(*(den for _, den in ratios))
+    p, q = v.as_integer_ratio()
+    out = []
+    r, q_pow = 0, 1
+    for num, den in reversed(ratios):
+        d = q_pow * num * (scale // den)
+        out.append((r, d))
+        r = p * (r + d)
+        q_pow *= q
+    out.reverse()
+    return out
+
+
 def annuity_value(model, x: int, rate: RateSpec) -> float:
     """Curtate annuity-immediate price: sum over t >= 1 of v^t * survival(x, t)."""
     survival_probability(model, x, 0)  # age validation
     v = rate.v
-    horizon = _support_horizon(model, x)
-    total = Fraction(0)
-    power = Fraction(1)
-    for t in range(1, horizon + 1):
-        power *= v
-        s = survival_probability(model, x, t)
-        if s == 0:
-            break
-        total += power * s
-    return float(total)
+    run = takewhile(bool, _survival_run(model, x, _support_horizon(model, x)))
+    r, d = _present_values(run, v)[0]
+    return r / d
 
 
 def joint_annuity_value(model_a, x: int, model_b, y: int, rate: RateSpec) -> float:
@@ -226,32 +270,44 @@ def joint_annuity_value(model_a, x: int, model_b, y: int, rate: RateSpec) -> flo
     survival_probability(model_a, x, 0)
     survival_probability(model_b, y, 0)
     v = rate.v
-    horizon = min(_support_horizon(model_a, x), _support_horizon(model_b, y))
-    total = Fraction(0)
-    power = Fraction(1)
-    for t in range(1, horizon + 1):
-        power *= v
-        s = survival_probability(model_a, x, t) * survival_probability(model_b, y, t)
-        if s == 0:
-            break
-        total += power * s
-    return float(total)
+    # a custom model may report a negative horizon: then nothing is paid
+    horizon = max(min(_support_horizon(model_a, x), _support_horizon(model_b, y)), 0)
+    both = map(mul, _survival_run(model_a, x, horizon), _survival_run(model_b, y, horizon))
+    r, d = _present_values(takewhile(bool, both), v)[0]
+    return r / d
 
 
 def approximation_error_table(table: LifeTable, ages, rates, omega: int = 86):
     """Percentage by which the linear-law price exceeds the tabular price.
 
     Entries are 100*(law/table - 1) for each (age, rate); the law keeps
-    omega = 86 at every age.
+    omega = 86 at every age.  Each rate prices every age with one backward
+    walk per model, from the youngest age asked; cells are then read in
+    row order, each age validated (law first) and divided out in turn, so
+    errors surface as a cell-by-cell pass would raise them.  table must be
+    a LifeTable: its survivor counts are what one walk serves every age from.
     """
+    if not isinstance(table, LifeTable):
+        raise TypeError(f"the error table needs a LifeTable, not {type(table).__name__}")
     law = DeMoivreLaw(omega)
+    ages = tuple(ages)
+    law_from = min(ages, default=omega)
+    table_from = max(law_from, table.start_age)
+    law_run = _survival_run(law, law_from, _support_horizon(law, law_from))
+    table_run = _survival_run(table, table_from, _support_horizon(table, table_from))
     grid = []
     for rate in rates:
-        spec = RateSpec(rate)
+        v = RateSpec(rate).v
+        law_prices = _present_values(law_run, v)
+        table_prices = _present_values(table_run, v)
         row = []
         for age in ages:
-            approx = annuity_value(law, age, spec)
-            true = annuity_value(table, age, spec)
+            survival_probability(law, age, 0)
+            r, d = law_prices[age - law_from]
+            approx = r / d
+            survival_probability(table, age, 0)
+            r, d = table_prices[age - table_from]
+            true = r / d
             if true == 0:
                 raise MortalityDomainError(f"tabular annuity at age {age} is zero")
             row.append(100.0 * (approx / true - 1.0))

@@ -273,8 +273,11 @@ def demoivre_power(theta: float, n: int):
     """(cos n*theta, sin n*theta), cross-checked against n-fold multiplication.
 
     Negative n goes through the conjugate reciprocal; the two routes must
-    agree within 1e-10 or an internal-consistency error is raised.
+    agree within 1e-10 or an internal-consistency error is raised.  theta
+    must be finite.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"angle theta must be finite, got {theta!r}")
     direct = (math.cos(n * theta), math.sin(n * theta))
     base = cmath.exp(1j * theta)
     if n < 0:

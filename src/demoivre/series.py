@@ -163,15 +163,37 @@ def revert_series(s: PowerSeries, order: int) -> PowerSeries:
     equation is a_1*b_m + (terms in b_1..b_{m-1}) = 0, which is triangular
     because higher powers of t contribute to degree m only through lower
     reversion coefficients.  Requires a_1 != 0.
+
+    The powers of t are kept as rows [x^d] t^j; order m adds only their
+    degree-m entries (and the new row t^m), so s is never recomposed with
+    the partial inverse and the work is O(order^3) products, not O(order^4).
+    Each entry sums the same products in the same ascending order as
+    multiply_series and compose_series, zero terms included, so float
+    results keep every bit.  (Lagrange inversion would need fewer products
+    but rounds differently.)
     """
     a1 = s.coefficient(1)
     if a1 == 0:
         raise ValueError("series with zero linear coefficient is not invertible")
     one = 1.0 if isinstance(a1, float) else Fraction(1)
+    zero = _zero_like(a1)
     b = [one / a1]
+    powers = [b]  # powers[j - 1][d - 1] = [x^d] t^j; row 1 is b itself
     for m in range(2, order + 1):
-        partial = PowerSeries(tuple(b + [_zero_like(a1)]))
-        residual = compose_series(s.truncate(m), partial, m).coefficient(m)
+        powers.append([])  # t^m
+        # t's degree-m term is the unknown b_m, taken as zero while solving for it
+        residual = zero + a1 * zero
+        for j in range(2, m + 1):
+            row, lower = powers[j - 1], powers[j - 2]
+            while len(row) < m:  # [x^d] t^j = sum over i of [x^i] t^(j-1) * b_(d-i)
+                d = len(row) + 1
+                entry = zero
+                for i in range(1, d):
+                    entry += lower[i - 1] * b[d - i - 1]
+                row.append(entry)
+            aj = s.coefficient(j)
+            if aj != 0:
+                residual += aj * row[m - 1]
         b.append(-residual / a1)
     return PowerSeries(tuple(b))
 

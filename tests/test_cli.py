@@ -113,6 +113,25 @@ def test_non_finite_band_multiplier_exits_3(command, c):
     assert "band multiplier c must be finite" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        (["annuity", "value", "--maty", "--age", "50"], "rate", "interest rate i must be finite"),
+        (["annuity", "joint", "--maty", "--age-a", "50", "--age-b", "40"], "rate", "interest rate i must be finite"),
+        (["annuity", "error-table", "--maty", "--ages", "50"], "rates", "interest rate i must be finite"),
+        (["conic", "force", "--b", "1", "--theta", "0.5"], "a", "semi-major axis a must be finite"),
+        (["conic", "focal-product", "--a", "2", "--theta", "0.5"], "b", "semi-minor axis b must be finite"),
+        (["factor", "power", "--n", "3"], "theta", "angle theta must be finite"),
+    ],
+)
+def test_non_finite_argument_exits_3(command, flag, message, value):
+    code, out, err = run(command + [f"--{flag}={value}"])
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("workers", ["33", "-1"])
 def test_simulate_worker_count_out_of_range_exits_3(workers):
     code, out, err = run(["binom", "simulate", "--n", "100", "--c", "1", "--reps", "10", "--seed", "1",

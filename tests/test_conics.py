@@ -111,3 +111,11 @@ def test_ellipse_validation():
         Ellipse(1.0, 0.0)
     with pytest.raises(ValueError):
         inverse_square_constant(Ellipse(2.0, 1.0), 2)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_ellipse_rejects_non_finite_axes(value):
+    with pytest.raises(ValueError, match="semi-major axis a must be finite"):
+        Ellipse(value, 1.0)
+    with pytest.raises(ValueError, match="semi-minor axis b must be finite"):
+        Ellipse(2.0, value)

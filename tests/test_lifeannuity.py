@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from demoivre.lifeannuity import (
     DeMoivreLaw,
@@ -16,6 +18,7 @@ from demoivre.lifeannuity import (
     reconstruct_maty_table,
     survival_probability,
     write_table_csv,
+    _support_horizon,
 )
 
 CHECKPOINTS = {
@@ -32,6 +35,141 @@ class Immortal:
 
     def horizon(self, x):
         return 10**6
+
+
+class Geometric:
+    """Stub model: survival q^t (exact or float) until a stated horizon."""
+
+    def __init__(self, q, years):
+        self.q, self.years = q, years
+
+    def survival_probability(self, x, t):
+        return self.q**t
+
+    def horizon(self, x):
+        return self.years
+
+
+class Cutoff:
+    """Stub model: linear survival that reaches zero long before its horizon.
+
+    Pricing stops at the first zero, so asking for a later term is a fault.
+    """
+
+    def __init__(self, years):
+        self.years = years
+
+    def survival_probability(self, x, t):
+        if t > self.years:
+            raise AssertionError(f"survival asked for t = {t}, past the first zero")
+        return Fraction(self.years - t, self.years)
+
+    def horizon(self, x):
+        return 10**6
+
+
+def forward_annuity_oracle(model, x, rate):
+    """The forward Fraction loop annuity_value ran before its integer kernel."""
+    survival_probability(model, x, 0)  # age validation
+    v = rate.v
+    horizon = _support_horizon(model, x)
+    total = Fraction(0)
+    power = Fraction(1)
+    for t in range(1, horizon + 1):
+        power *= v
+        s = survival_probability(model, x, t)
+        if s == 0:
+            break
+        total += power * s
+    return float(total)
+
+
+def forward_joint_oracle(model_a, x, model_b, y, rate):
+    """The forward Fraction loop joint_annuity_value ran before its integer kernel."""
+    survival_probability(model_a, x, 0)
+    survival_probability(model_b, y, 0)
+    v = rate.v
+    horizon = min(_support_horizon(model_a, x), _support_horizon(model_b, y))
+    total = Fraction(0)
+    power = Fraction(1)
+    for t in range(1, horizon + 1):
+        power *= v
+        s = survival_probability(model_a, x, t) * survival_probability(model_b, y, t)
+        if s == 0:
+            break
+        total += power * s
+    return float(total)
+
+
+FRACTIONAL_CSV = "age,lx\n30,100\n31,197/2\n32,96.25\n33,280/3\n34,90\n35,85.5\n36,80\n37,299/4\n38,70\n39,1/3\n"
+
+# the ages each test model is priced at; "immortal" only ever in a joint
+# pair, where the other life's horizon ends the run
+MODEL_AGES = {
+    "maty": (12, 95),
+    "csv": (30, 39),
+    "law": (-5, 85),
+    "short law": (0, 2),
+    "geometric": (0, 100),
+    "float geometric": (0, 100),
+    "cutoff": (0, 100),
+    "immortal": (0, 100),
+}
+FINITE = tuple(name for name in MODEL_AGES if name != "immortal")
+
+interest_rates = st.one_of(
+    st.sampled_from([0, 0.0, 0.05, 0.03, 0.07, -0.5, -0.1, 0.25, 1.0, Fraction(1, 20)]),
+    st.floats(min_value=-0.95, max_value=3.0),
+)
+
+
+@st.composite
+def lives(draw, names=FINITE):
+    name = draw(st.sampled_from(names))
+    return name, draw(st.integers(*MODEL_AGES[name]))
+
+
+@pytest.fixture(scope="module")
+def models(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tables") / "fractional.csv"
+    path.write_text(FRACTIONAL_CSV)
+    return {
+        "maty": reconstruct_maty_table(),
+        "csv": load_table(path),
+        "law": DeMoivreLaw(86),
+        "short law": DeMoivreLaw(3),
+        "geometric": Geometric(Fraction(9, 10), 30),
+        "float geometric": Geometric(0.93, 40),
+        "cutoff": Cutoff(12),
+        "immortal": Immortal(),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(lives(), interest_rates)
+@example(("maty", 12), 0.05)
+@example(("maty", 95), 0.05)  # terminal age: price 0
+@example(("law", 50), 0)
+@example(("csv", 30), -0.5)
+@example(("cutoff", 3), 0.05)  # survival reaches zero before the horizon
+def test_annuity_value_equals_forward_oracle(models, life, i):
+    name, x = life
+    rate = RateSpec(i)
+    assert annuity_value(models[name], x, rate) == forward_annuity_oracle(models[name], x, rate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lives(tuple(MODEL_AGES)), lives(), interest_rates)
+@example(("immortal", 30), ("law", 50), 0.05)  # horizon 10^6 against 35
+@example(("immortal", 30), ("cutoff", 0), 0.05)  # zero survival ends the run
+@example(("maty", 40), ("csv", 35), 0.05)
+@example(("law", 85), ("maty", 40), 0.04)
+def test_joint_annuity_value_equals_forward_oracle(models, life_a, life_b, i):
+    (name_a, x), (name_b, y) = life_a, life_b
+    model_a, model_b = models[name_a], models[name_b]
+    rate = RateSpec(i)
+    assert joint_annuity_value(model_a, x, model_b, y, rate) == forward_joint_oracle(model_a, x, model_b, y, rate)
+    assert joint_annuity_value(model_b, y, model_a, x, rate) == forward_joint_oracle(model_b, y, model_a, x, rate)
 
 
 def direct_annuity_oracle(model, x, i, horizon=200):
@@ -165,7 +303,7 @@ def test_annuity_matches_direct_summation():
     for model in (law, table):
         for age in (20, 50, 70):
             for i in (0.03, 0.05, 0.07):
-                assert abs(annuity_value(model, age, RateSpec(i)) - direct_annuity_oracle(model, age, i)) <= 1e-12
+                assert annuity_value(model, age, RateSpec(i)) == direct_annuity_oracle(model, age, i)
 
 
 def test_annuity_decreasing_in_rate():
@@ -224,4 +362,55 @@ def test_error_table_self_comparison_is_zero():
 def test_rate_spec_validation():
     with pytest.raises(ValueError):
         RateSpec(-1.0)
+    for i in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="interest rate i must be finite"):
+            RateSpec(i)
+    assert RateSpec(10**400).v == Fraction(1, 10**400 + 1)
     assert RateSpec(0.05).v == Fraction(1) / (1 + Fraction(0.05))
+
+
+def test_error_table_empty_ages_and_rates():
+    table = reconstruct_maty_table()
+    assert approximation_error_table(table, [], [0.03, 0.05]) == [[], []]
+    assert approximation_error_table(table, [20, 50], []) == []
+
+
+def test_error_table_error_precedence():
+    table = reconstruct_maty_table()
+    # the rate is checked before any age of its row
+    with pytest.raises(ValueError, match="interest rate must exceed -1"):
+        approximation_error_table(table, [5], [-1.0])
+    # an age both models reject fails on the law first
+    with pytest.raises(MortalityDomainError, match="terminal age 86"):
+        approximation_error_table(table, [200], [0.05])
+    # cells run rate by rate, age by age: a bad age of the first row wins
+    # over a bad rate of the second
+    with pytest.raises(MortalityDomainError, match="outside table range 12..95"):
+        approximation_error_table(table, [50, 5], [0.05, -2.0])
+
+
+def test_error_table_needs_a_life_table():
+    with pytest.raises(TypeError, match="needs a LifeTable"):
+        approximation_error_table(DeMoivreLaw(90), [50], [0.05])
+
+
+def test_error_table_zero_tabular_annuity():
+    table = reconstruct_maty_table()
+    with pytest.raises(MortalityDomainError, match="tabular annuity at age 95 is zero"):
+        approximation_error_table(table, [95], [0.05], omega=100)
+    # ... and fails before a later bad age is looked at
+    with pytest.raises(MortalityDomainError, match="tabular annuity at age 95 is zero"):
+        approximation_error_table(table, [95, 200], [0.05], omega=100)
+
+
+def test_error_table_prices_only_requested_ages():
+    # at i = -0.9999 (v ~ 10^4) the price at age 12 overflows a float, the
+    # price at age 80 does not: a cell fails only for its own age
+    table = reconstruct_maty_table()
+    rate = RateSpec(-0.9999)
+    with pytest.raises(OverflowError):
+        annuity_value(table, 12, rate)
+    assert annuity_value(table, 80, rate) > 1e58
+    assert approximation_error_table(table, [80], [-0.9999]) == [[-100.0]]
+    with pytest.raises(OverflowError):
+        approximation_error_table(table, [80, 12], [-0.9999])

@@ -252,6 +252,12 @@ def test_factor_unity_counts_and_expansion_all_degrees():
 # ------------------------------------------------------------ power identity
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_demoivre_power_rejects_non_finite_angle(theta):
+    with pytest.raises(ValueError, match="angle theta must be finite"):
+        demoivre_power(theta, 3)
+
+
 def test_demoivre_power_examples():
     cos_n, sin_n = demoivre_power(math.pi / 6, 3)
     assert cos_n == pytest.approx(0.0, abs=1e-15)

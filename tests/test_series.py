@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from demoivre.series import (
     PowerSeries,
@@ -22,6 +24,30 @@ def repeated_multiplication(s, p, order):
     for _ in range(p - 1):
         out = multiply_series(out, s, order)
     return out
+
+
+def revert_by_composition(s, order):
+    """The reversion revert_series ran before it kept the powers of t.
+
+    At every order m the partial inverse b_1..b_{m-1} is composed with s
+    afresh and b_m is read off the degree-m residual: O(order^4) products.
+    """
+    a1 = s.coefficient(1)
+    if a1 == 0:
+        raise ValueError("series with zero linear coefficient is not invertible")
+    one = 1.0 if isinstance(a1, float) else Fraction(1)
+    zero = 0.0 if isinstance(a1, float) else Fraction(0)
+    b = [one / a1]
+    for m in range(2, order + 1):
+        partial = PowerSeries(tuple(b + [zero]))
+        residual = compose_series(s.truncate(m), partial, m).coefficient(m)
+        b.append(-residual / a1)
+    return PowerSeries(tuple(b))
+
+
+def bits(s):
+    """Coefficients compared bit for bit: floats by their hex form."""
+    return tuple(c.hex() if isinstance(c, float) else c for c in s.coefficients)
 
 
 def random_rational_series(rng, order, nonzero_linear=False):
@@ -145,3 +171,40 @@ def test_revert_rejects_zero_linear_term():
     s = series_from_rationals([0, 1])
     with pytest.raises(ValueError):
         revert_series(s, 4)
+
+
+small_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+small_reals = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(small_rationals, min_size=1, max_size=10).map(series_from_rationals),
+        st.lists(small_reals, min_size=1, max_size=10).map(series_from_reals),
+    ),
+    st.integers(1, 12),
+)
+@example(series_from_rationals([1]), 1)  # order 1
+@example(series_from_rationals([-3, 0, 0, 2]), 9)  # negative a_1, zeros, order above the input length
+@example(series_from_reals([-0.5, 0.0, -0.0, 1.5]), 8)
+@example(series_from_reals([1e300, 1e300, -1e300]), 6)  # underflow to signed zeros
+@example(series_from_reals([1.0, 1e200, 1e200]), 6)  # overflow: inf, then inf * 0 = nan
+@example(series_from_reals([1.0, float("inf")]), 6)
+@example(series_from_reals([float("inf"), 1.0]), 4)  # a_1 * 0 is nan from the first order
+@example(series_from_rationals([0, 1]), 4)  # not invertible
+@example(series_from_reals([-0.0, 1.0]), 4)
+def test_revert_matches_composition_route_bit_for_bit(s, order):
+    try:
+        expected = bits(revert_by_composition(s, order))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            revert_series(s, order)
+        return
+    assert bits(revert_series(s, order)) == expected
