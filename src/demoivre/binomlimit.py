@@ -8,24 +8,30 @@ scan alike: an integer recurrence steps each binomial coefficient from the
 last and accumulates the terms by Horner's rule, so a band takes one
 math.comb and three big powers in all, not a comb and two powers per term.
 The limiting band probability integrates the kernel
-(2/sqrt(2*pi))*exp(-2 t^2) numerically; the closed-form erf route is
-deliberately left to the test suite as an independent oracle.  Band
-endpoints are inclusive throughout.
+(2/sqrt(2*pi))*exp(-2 t^2) numerically, by a port of QUADPACK's QAGS
+(21-point Gauss-Kronrod rule, largest-error bisection); the closed-form
+erf route is deliberately left to the test suite as an independent
+oracle.  Band endpoints are inclusive throughout.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtri
+from statistics import NormalDist
 
 RATIONAL_LIMIT = 4096
 MAX_WORKERS = 32
 _SIM_CHUNK = 4096
+
+# The kernel's mass past |t| = 67/16 is erfc(67/16 * sqrt(2)) < 2^-54, half
+# an ulp of 1 from below, so the band integral stops there: the integral
+# over |t| <= GAUSS_CUTOFF rounds to the same double as over the whole line.
+GAUSS_CUTOFF = 4.1875
+# Past |t| = 20 the kernel is exactly 0.0 in double precision.
+GAUSS_ZERO = 20.0
 
 
 @dataclass(frozen=True)
@@ -178,21 +184,162 @@ def _gauss_kernel(t: float) -> float:
 
 
 def limit_central_probability(c: float) -> float:
-    """Limiting band probability: integral of (2/sqrt(2*pi))*exp(-2t^2) over |t| <= c/2."""
+    """Limiting band probability: integral of (2/sqrt(2*pi))*exp(-2t^2) over |t| <= c/2.
+
+    The range is cut at |t| <= GAUSS_CUTOFF, where the rest of the mass is
+    below half an ulp of 1, and the result is clamped to at most 1.
+    """
     _check_multiplier(c)
-    value, estimate = quad(_gauss_kernel, -c / 2.0, c / 2.0, epsabs=1e-13, epsrel=1e-13)
+    half = min(c / 2.0, GAUSS_CUTOFF)
+    value, estimate = _qags(_gauss_kernel, -half, half)
     if estimate > 1e-10:
         raise ArithmeticError(f"quadrature error estimate {estimate:g} above 1e-10")
-    return value
+    return min(value, 1.0)
 
 
 def limit_tail_probability(c: float) -> float:
-    """Complementary integral over |t| > c/2 (two equal tails)."""
+    """Complementary integral over |t| > c/2 (two equal tails), up to |t| = GAUSS_ZERO."""
     _check_multiplier(c)
-    value, estimate = quad(_gauss_kernel, c / 2.0, math.inf, epsabs=1e-13, epsrel=1e-13)
+    value, estimate = _qags(_gauss_kernel, c / 2.0, max(c / 2.0, GAUSS_ZERO))
     if estimate > 1e-10:
         raise ArithmeticError(f"quadrature error estimate {estimate:g} above 1e-10")
-    return 2.0 * value
+    return min(2.0 * value, 1.0)
+
+
+# QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al. 1983, dqk21):
+# Kronrod abscissae (the odd-indexed ones carry the 10-point Gauss rule,
+# the last is the centre), Kronrod weights, and the Gauss weights.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_EPS = sys.float_info.epsilon
+_QUAD_TOLERANCE = 1e-13  # dqagse's epsabs and epsrel both
+_QUAD_LIMIT = 50
+
+
+def _kronrod21(f, a, b):
+    """dqk21: (integral, error estimate, integral of |f|, integral of |f - mean|) over [a, b]."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fc = f(centr)
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    fv1 = [0.0] * 10
+    fv2 = [0.0] * 10
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # Gauss nodes first, as dqk21 sums them
+        absc = hlgth * _XGK[j]
+        fv1[j] = fval1 = f(centr - absc)
+        fv2[j] = fval2 = f(centr + absc)
+        fsum = fval1 + fval2
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    resabs = resabs * abs(hlgth)
+    resasc = resasc * abs(hlgth)
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > sys.float_info.min / (50.0 * _EPS):
+        abserr = max((_EPS * 50.0) * resabs, abserr)
+    return resk * hlgth, abserr, resabs, resasc
+
+
+def _qags(f, a, b):
+    """(integral, error estimate) of f over [a, b] by QUADPACK's dqagse.
+
+    This is the path a smooth integrand takes through dqagse: bisect the
+    subinterval with the largest error estimate until the summed estimate
+    is at most _QUAD_TOLERANCE * max(1, |integral|), then add the
+    subinterval results in list order, with dqagse's operations in
+    dqagse's order.  Left out
+    are its epsilon-algorithm extrapolation (with the bisection order it
+    can impose) and its roundoff exits; over |t| <= GAUSS_CUTOFF the Gauss
+    kernel never reaches them, and the tests check the result against
+    QUADPACK's bit for bit.
+    """
+    result, abserr, _, resasc = _kronrod21(f, a, b)
+    errbnd = max(_QUAD_TOLERANCE, _QUAD_TOLERANCE * abs(result))
+    if (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
+        return result, abserr
+    parts = [(a, b, result, abserr)]  # (lower, upper, integral, error) per subinterval
+    order = [0]  # indices of parts, largest error first
+    maxerr, errmax = 0, abserr
+    area, errsum = result, abserr
+    for last in range(1, _QUAD_LIMIT):
+        a1, b2, area0, _ = parts[maxerr]
+        b1 = 0.5 * (a1 + b2)
+        area1, error1, _, _ = _kronrod21(f, a1, b1)
+        area2, error2, _, _ = _kronrod21(f, b1, b2)
+        errsum = errsum + (error1 + error2) - errmax
+        area = area + (area1 + area2) - area0
+        errbnd = max(_QUAD_TOLERANCE, _QUAD_TOLERANCE * abs(area))
+        # the half with the larger error keeps slot maxerr, the other is appended
+        if error2 > error1:
+            parts[maxerr] = (b1, b2, area2, error2)
+            parts.append((a1, b1, area1, error1))
+        else:
+            parts[maxerr] = (a1, b1, area1, error1)
+            parts.append((b1, b2, area2, error2))
+        maxerr = _reorder(order, [part[3] for part in parts], maxerr, last)
+        errmax = parts[maxerr][3]
+        if errsum <= errbnd:
+            total = 0.0
+            for part in parts:
+                total += part[2]
+            return total, errsum
+    raise ArithmeticError(f"quadrature did not converge within {_QUAD_LIMIT} subintervals")
+
+
+def _reorder(order, errors, maxerr, last):
+    """dqpsrt: put the two new estimates into the descending `order`; return its head.
+
+    Slot maxerr was just halved and slot `last` appended.  Only the first
+    limit + 1 - last positions stay sorted once that is fewer than last,
+    as no more subintervals than that can still be bisected.
+    """
+    order.append(last)
+    if last == 1:
+        return order[0]
+    errmax, errmin = errors[maxerr], errors[last]
+    top = last if last <= _QUAD_LIMIT // 2 + 1 else _QUAD_LIMIT + 1 - last
+    for i in range(1, top):
+        if errmax >= errors[order[i]]:
+            break
+        order[i - 1] = order[i]
+    else:
+        order[top - 1], order[top] = maxerr, last
+        return order[0]
+    order[i - 1] = maxerr
+    k = top - 1
+    while k >= i and errmin >= errors[order[k]]:
+        order[k + 1] = order[k]
+        k -= 1
+    order[k + 1] = last
+    return order[0]
 
 
 def remark1_fraction(n: int) -> Fraction:
@@ -244,7 +391,8 @@ def sample_size(p, c, alpha) -> int:
 
 def gaussian_sample_size_estimate(p, c, alpha) -> float:
     """Normal-limit seed (z_{1-alpha/2})^2 p(1-p)/c^2 for the exact scan's scale."""
-    z = float(ndtri(1 - float(alpha) / 2))
+    tail = float(alpha) / 2
+    z = -NormalDist().inv_cdf(tail) if tail > 0 else math.inf
     return z * z * float(p) * (1 - float(p)) / float(c) ** 2
 
 
@@ -261,6 +409,8 @@ def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int, workers: int 
         raise ValueError("need at least one replication")
     if workers is not None and not 0 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in 0..{MAX_WORKERS}, got {workers}")
+    import numpy as np
+
     lo, hi = band_bounds(spec, c)
     p = float(spec.p)
 

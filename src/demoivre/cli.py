@@ -10,6 +10,7 @@ identical argv always produces byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -457,7 +458,9 @@ def _add_model_flags(parser, suffix=""):
     parser.add_argument(f"--table{dash}", metavar="FILE", help="life-table CSV (age,lx)")
 
 
+@functools.cache
 def build_parser():
+    """The whole argparse tree, built once per process (parsing leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
 

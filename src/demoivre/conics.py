@@ -41,6 +41,11 @@ class OrbitPoint:
     position: tuple
 
 
+def _check_angle(theta: float) -> None:
+    if not math.isfinite(theta):
+        raise ValueError(f"angle theta must be finite, got {theta!r}")
+
+
 def orbit_point(e: Ellipse, theta: float) -> OrbitPoint:
     return OrbitPoint(theta, (e.a * math.cos(theta), e.b * math.sin(theta)))
 
@@ -52,6 +57,7 @@ def focal_product(e: Ellipse, theta: float):
     ellipse point with angle t + pi/2.  The two numbers agree to within
     1e-12 * a^2; a violation would mean a broken evaluation, not geometry.
     """
+    _check_angle(theta)
     c = e.focal_distance
     x, y = orbit_point(e, theta).position
     d1 = math.hypot(x - c, y)
@@ -66,6 +72,7 @@ def focal_product(e: Ellipse, theta: float):
 
 def radius_of_curvature(e: Ellipse, theta: float) -> float:
     """(a^2 sin^2 t + b^2 cos^2 t)^(3/2) / (a*b)."""
+    _check_angle(theta)
     s, c = math.sin(theta), math.cos(theta)
     return (e.a * e.a * s * s + e.b * e.b * c * c) ** 1.5 / (e.a * e.b)
 
@@ -81,6 +88,7 @@ def _focal_radius_and_pedal(e: Ellipse, theta: float):
 
 def centripetal_force(e: Ellipse, theta: float) -> float:
     """FM / (R * FP^3), force centre at the focus (+c, 0)."""
+    _check_angle(theta)
     fm, fp = _focal_radius_and_pedal(e, theta)
     r = radius_of_curvature(e, theta)
     return fm / (r * fp**3)

@@ -22,8 +22,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 ROOT_SEPARATION = 1e-8
 RESIDUE_TOLERANCE = 1e-12
 
@@ -83,6 +81,8 @@ def solve_recurrence(r: Recurrence) -> ClosedForm:
     initial terms is a Vandermonde solve.  Near-repeated roots (pairwise
     distance <= 1e-8) raise DegenerateSpectrumError.
     """
+    import numpy as np
+
     k = r.order
     poly = [1.0] + [-b for b in r.coefficients]
     roots = np.roots(poly)
@@ -158,7 +158,9 @@ def duration_exceeds_exact(spec: DurationSpec) -> float:
     """P(no ruin within n games): iterate the mass over interior states.
 
     Random walk from 0 with absorbing barriers at +-b; interior states are
-    the 2b-1 positions strictly between the barriers.
+    the 2b-1 positions strictly between the barriers.  The sum is clamped
+    to at most 1, which rounding can pass (1.0000000000000056 at b = 100,
+    p = 0.45, n = 100).
     """
     size = 2 * spec.b - 1
     p, q = spec.p, 1.0 - spec.p
@@ -174,7 +176,7 @@ def duration_exceeds_exact(spec: DurationSpec) -> float:
             if i - 1 >= 0:
                 new[i - 1] += q * m
         mass = new
-    return math.fsum(mass)
+    return min(math.fsum(mass), 1.0)
 
 
 def duration_weights(b: int, p: float):
@@ -202,12 +204,16 @@ def duration_exceeds_closed(spec: DurationSpec) -> float:
 
     With b even, absorption can only happen at steps of b's parity, so for
     odd n the value equals the one at n-1; the reduction is applied here
-    and is validated against the random-walk oracle in the tests.
+    and is validated against the random-walk oracle in the tests.  The sum
+    is clamped to [0, 1], which rounding can leave (1.0000000000000013 at
+    b = 200, n = 2); the clamp does not cure the cancellation between the
+    weights at large b with p away from 1/2.
     """
     n = spec.n if spec.n % 2 == 0 else spec.n - 1
     if n <= 0:
         return 1.0
-    return math.fsum(c * t ** (n // 2) for t, c in duration_weights(spec.b, spec.p))
+    total = math.fsum(c * t ** (n // 2) for t, c in duration_weights(spec.b, spec.p))
+    return min(max(total, 0.0), 1.0)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demoivre.binomlimit import (
+    GAUSS_CUTOFF,
     MAX_WORKERS,
     CentralBand,
     TrialSpec,
     _band_mass,
     _band_probability_exact_frequency,
+    _gauss_kernel,
+    _qags,
     band_bounds,
     demoivre_term,
     exact_central_probability,
@@ -190,6 +193,51 @@ def test_limit_values_against_erf_oracle():
 def test_limit_band_plus_tail_is_one():
     for c in (0.3, 1.0, 2.5):
         assert abs(limit_central_probability(c) + limit_tail_probability(c) - 1.0) < 1e-10
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=2 * GAUSS_CUTOFF))
+@example(1.0)
+@example(2.0)
+@example(3.0)
+@example(5e-324)
+@example(1e-8)
+@example(8.19282125)  # QUADPACK gives 1.0000000000000002 here
+@example(2 * GAUSS_CUTOFF)
+def test_limit_matches_quadpack_bit_for_bit(c):
+    """The QAGS port against scipy's QUADPACK, the integral the CLI printed before the port."""
+    integrate = pytest.importorskip("scipy.integrate")
+    value, _ = integrate.quad(_gauss_kernel, -c / 2, c / 2, epsabs=1e-13, epsrel=1e-13)
+    assert limit_central_probability(c) == min(value, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=8.0, max_value=1e300))
+@example(8.3)
+@example(60.0)
+@example(5000.0)
+@example(1e4)
+def test_limit_stays_in_unit_interval_at_large_c(c):
+    value = limit_central_probability(c)
+    assert value <= 1.0
+    assert abs(value - math.erf(c / math.sqrt(2))) <= 1e-15
+    if c >= 2 * GAUSS_CUTOFF:
+        assert value == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=1e300))
+@example(0.15497050648743405)
+@example(1.0)
+@example(2 * GAUSS_CUTOFF)
+@example(40.0)
+def test_tail_against_erfc(c):
+    assert abs(limit_tail_probability(c) - math.erfc(c / math.sqrt(2))) <= 1e-12
+
+
+def test_quadrature_gives_up_after_fifty_subintervals():
+    with pytest.raises(ArithmeticError, match="50 subintervals"):
+        _qags(lambda t: math.sin(200 * t), 0.0, 100.0)
 
 
 def test_remark1_fractions():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +12,18 @@ from demoivre import cli
 from cli_cases import SAMPLE_INVOCATIONS, rebuild_argv
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(argv):
     return cli.dispatch(argv)
+
+
+def run_fresh(args):
+    """A new interpreter with this checkout's src/ first on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
 
 
 def run_json(argv):
@@ -123,6 +137,9 @@ def test_non_finite_band_multiplier_exits_3(command, c):
         (["conic", "force", "--b", "1", "--theta", "0.5"], "a", "semi-major axis a must be finite"),
         (["conic", "focal-product", "--a", "2", "--theta", "0.5"], "b", "semi-minor axis b must be finite"),
         (["factor", "power", "--n", "3"], "theta", "angle theta must be finite"),
+        (["conic", "focal-product", "--a", "2", "--b", "1"], "theta", "angle theta must be finite"),
+        (["conic", "curvature", "--a", "2", "--b", "1"], "theta", "angle theta must be finite"),
+        (["conic", "force", "--a", "2", "--b", "1"], "theta", "angle theta must be finite"),
     ],
 )
 def test_non_finite_argument_exits_3(command, flag, message, value):
@@ -130,6 +147,25 @@ def test_non_finite_argument_exits_3(command, flag, message, value):
     assert code == 3
     assert out == ""
     assert message in err
+
+
+def test_limit_at_huge_c_prints_one():
+    for c in ("5000", "10000"):
+        assert run_json(["binom", "limit", "--c", c])["result"] == "1"
+
+
+def test_cached_parser_output_matches_fresh_process(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert run(["binom", "remark1"])[0] == 2  # argparse error first
+    assert run(["binom", "remark1", "--n", "3601"])[0] == 3  # then a domain error
+    capsys.readouterr()
+    for argv in SAMPLE_INVOCATIONS:
+        assert run(argv) == run_fresh(["-m", "demoivre.cli", *argv]), argv
+
+
+def test_cli_import_leaves_numpy_and_scipy_unloaded():
+    code = "import sys, demoivre.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    assert run_fresh(["-c", code]) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("workers", ["33", "-1"])

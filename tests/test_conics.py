@@ -119,3 +119,10 @@ def test_ellipse_rejects_non_finite_axes(value):
         Ellipse(value, 1.0)
     with pytest.raises(ValueError, match="semi-minor axis b must be finite"):
         Ellipse(2.0, value)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("function", [focal_product, radius_of_curvature, centripetal_force])
+def test_angle_functions_reject_non_finite_theta(function, theta):
+    with pytest.raises(ValueError, match="angle theta must be finite"):
+        function(Ellipse(2.0, 1.0), theta)

@@ -156,6 +156,23 @@ def test_duration_closed_matches_markov_grid():
                 assert abs(duration_exceeds_closed(spec) - duration_exceeds_exact(spec)) < 1e-10
 
 
+def test_duration_stays_in_unit_interval():
+    # unclamped, the closed form gave 1.0000000000000013 here and the walk
+    # 1.0000000000000056 at b = 100, p = 0.45, n = 100
+    assert duration_exceeds_closed(DurationSpec(200, 0.5, 2)) == 1.0
+    assert duration_exceeds_exact(DurationSpec(100, 0.45, 100)) == 1.0
+    for b in (2, 10, 50, 100, 200):
+        for p in (0.3, 0.45, 0.5, 0.51):
+            for n in (1, 2, 4, 100):
+                spec = DurationSpec(b, p, n)
+                assert 0.0 <= duration_exceeds_closed(spec) <= 1.0
+                assert 0.0 <= duration_exceeds_exact(spec) <= 1.0
+    # a value inside [0, 1] keeps its bits: the benchmark's case, b = 50, n = 3000
+    for p in (0.49, 0.51):
+        weights = duration_weights(50, p)
+        assert duration_exceeds_closed(DurationSpec(50, p, 3000)) == math.fsum(c * t**1500 for t, c in weights)
+
+
 def test_duration_parity_reduction_for_odd_n():
     for b in (4, 6):
         for p in (0.5, 0.27):
