@@ -198,9 +198,13 @@ def limit_central_probability(c: float) -> float:
 
 
 def limit_tail_probability(c: float) -> float:
-    """Complementary integral over |t| > c/2 (two equal tails), up to |t| = GAUSS_ZERO."""
+    """Complementary integral over |t| > c/2 (two equal tails), up to |t| = GAUSS_ZERO.
+
+    The tail can be far below any absolute tolerance, so it is integrated
+    to relative accuracy alone (epsabs = 0).
+    """
     _check_multiplier(c)
-    value, estimate = _qags(_gauss_kernel, c / 2.0, max(c / 2.0, GAUSS_ZERO))
+    value, estimate = _qags(_gauss_kernel, c / 2.0, max(c / 2.0, GAUSS_ZERO), epsabs=0.0)
     if estimate > 1e-10:
         raise ArithmeticError(f"quadrature error estimate {estimate:g} above 1e-10")
     return min(2.0 * value, 1.0)
@@ -231,7 +235,7 @@ _WG = (
     0.295524224714752870173892994651338,
 )
 _EPS = sys.float_info.epsilon
-_QUAD_TOLERANCE = 1e-13  # dqagse's epsabs and epsrel both
+_QUAD_TOLERANCE = 1e-13  # dqagse's epsrel, and its epsabs unless the caller passes one
 _QUAD_LIMIT = 50
 
 
@@ -268,21 +272,21 @@ def _kronrod21(f, a, b):
     return resk * hlgth, abserr, resabs, resasc
 
 
-def _qags(f, a, b):
+def _qags(f, a, b, epsabs=_QUAD_TOLERANCE):
     """(integral, error estimate) of f over [a, b] by QUADPACK's dqagse.
 
     This is the path a smooth integrand takes through dqagse: bisect the
     subinterval with the largest error estimate until the summed estimate
-    is at most _QUAD_TOLERANCE * max(1, |integral|), then add the
+    is at most max(epsabs, _QUAD_TOLERANCE * |integral|), then add the
     subinterval results in list order, with dqagse's operations in
-    dqagse's order.  Left out
+    dqagse's order.  epsabs = 0 asks for relative accuracy alone.  Left out
     are its epsilon-algorithm extrapolation (with the bisection order it
     can impose) and its roundoff exits; over |t| <= GAUSS_CUTOFF the Gauss
     kernel never reaches them, and the tests check the result against
     QUADPACK's bit for bit.
     """
     result, abserr, _, resasc = _kronrod21(f, a, b)
-    errbnd = max(_QUAD_TOLERANCE, _QUAD_TOLERANCE * abs(result))
+    errbnd = max(epsabs, _QUAD_TOLERANCE * abs(result))
     if (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
         return result, abserr
     parts = [(a, b, result, abserr)]  # (lower, upper, integral, error) per subinterval
@@ -296,7 +300,7 @@ def _qags(f, a, b):
         area2, error2, _, _ = _kronrod21(f, b1, b2)
         errsum = errsum + (error1 + error2) - errmax
         area = area + (area1 + area2) - area0
-        errbnd = max(_QUAD_TOLERANCE, _QUAD_TOLERANCE * abs(area))
+        errbnd = max(epsabs, _QUAD_TOLERANCE * abs(area))
         # the half with the larger error keeps slot maxerr, the other is appended
         if error2 > error1:
             parts[maxerr] = (b1, b2, area2, error2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,13 +116,25 @@ def parse_odds(text: str) -> Odds:
         raise DomainFailure(f"bad odds {text!r}: {exc}") from None
 
 
-def _series_from(args):
-    coeffs = parse_coefficients(args.coeffs, args.real)
-    return series.PowerSeries(tuple(coeffs))
+def _finite(ps, where):
+    """ps itself; in real mode a NaN or infinite coefficient is a domain error.
+
+    The library propagates non-finite floats as IEEE arithmetic does; the
+    CLI does not print them with exit 0.
+    """
+    for degree, value in enumerate(ps.coefficients, start=1):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainFailure(f"{where}: coefficient of x^{degree} is not finite: {value!r}")
+    return ps
+
+
+def _series_from(args, flag="coeffs"):
+    coeffs = parse_coefficients(getattr(args, flag), args.real)
+    return _finite(series.PowerSeries(tuple(coeffs)), f"--{flag}")
 
 
 def _series_result(ps):
-    return [canonical(c) for c in ps.coefficients]
+    return [canonical(c) for c in _finite(ps, "result").coefficients]
 
 
 # ---------------------------------------------------------------- handlers
@@ -175,8 +188,8 @@ def run_series_revert(args):
 
 
 def run_series_compose(args):
-    outer = series.PowerSeries(tuple(parse_coefficients(args.f, args.real)))
-    inner = series.PowerSeries(tuple(parse_coefficients(args.g, args.real)))
+    outer = _series_from(args, "f")
+    inner = _series_from(args, "g")
     out = series.compose_series(outer, inner, args.order)
     inputs = {"f": args.f, "g": args.g, "order": str(args.order)}
     if args.real:

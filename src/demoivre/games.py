@@ -2,8 +2,8 @@
 
 A tour is an ordered cover of all 64 squares by knight moves (open: the
 last square need not attack the first).  The solver runs a depth-first
-search ordered by Warnsdorff's degree heuristic with lowest-(file, rank)
-tie-breaking, so results are deterministic and the search is complete.
+search ordered by Warnsdorff's degree heuristic (1823) with lowest-(file,
+rank) tie-breaking, so results are deterministic and the search is complete.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .exactnum import Odds
 
 BOARD = 8
+SQUARES = BOARD * BOARD
 KNIGHT_MOVES = ((-2, -1), (-2, 1), (-1, -2), (-1, 2), (1, -2), (1, 2), (2, -1), (2, 1))
 
 
@@ -69,50 +70,59 @@ def validate_tour(squares) -> TourVerdict:
     return TourVerdict(True)
 
 
-def _neighbors(square):
-    f, r = square
-    out = []
-    for df, dr in KNIGHT_MOVES:
-        t = (f + df, r + dr)
-        if _on_board(t):
-            out.append(t)
-    return out
+def _neighbour_table():
+    """Knight neighbours of every square, squares numbered 8*file + rank."""
+    table = []
+    for square in range(SQUARES):
+        f, r = divmod(square, BOARD)
+        targets = ((f + df, r + dr) for df, dr in KNIGHT_MOVES)
+        table.append(tuple(t[0] * BOARD + t[1] for t in targets if _on_board(t)))
+    return tuple(table)
+
+
+_NEIGHBOURS = _neighbour_table()
 
 
 def find_tour(start) -> Tour:
     """A deterministic open tour from the given square.
 
     Candidates are tried in (onward degree, file, rank) order; backtracking
-    guarantees completion since open tours exist from every square.
+    guarantees completion since open tours exist from every square.  With
+    squares numbered 8*file + rank, that order is the order of the packed
+    key degree*64 + square.  Onward degrees are kept in an array, lowered
+    for a square's neighbours when it is visited and raised when it is left,
+    and the depth-first search keeps one iterator of sorted keys per square
+    of the path instead of recursing.
     """
     start = (int(start[0]), int(start[1]))
     if not _on_board(start):
         raise ValueError(f"square {start} is off the board")
-    visited = {start}
-    path = [start]
-
-    def degree(sq):
-        return sum(1 for t in _neighbors(sq) if t not in visited)
-
-    def extend():
-        if len(path) == BOARD * BOARD:
-            return True
-        options = sorted(
-            (t for t in _neighbors(path[-1]) if t not in visited),
-            key=lambda t: (degree(t), t),
-        )
-        for t in options:
-            visited.add(t)
-            path.append(t)
-            if extend():
-                return True
-            visited.remove(t)
-            path.pop()
-        return False
-
-    if not extend():
-        raise RuntimeError(f"no tour from {start}")  # unreachable on the 8x8 board
-    return Tour(tuple(path))
+    degree = [len(targets) for targets in _NEIGHBOURS]
+    visited = [False] * SQUARES
+    square = start[0] * BOARD + start[1]
+    path = [square]
+    moves = []  # moves[i]: keys of the untried candidates from path[i]
+    while True:
+        visited[square] = True
+        targets = _NEIGHBOURS[square]
+        for t in targets:
+            degree[t] -= 1
+        if len(path) == SQUARES:
+            break
+        moves.append(iter(sorted([degree[t] * SQUARES + t for t in targets if not visited[t]])))
+        key = next(moves[-1], None)
+        while key is None:  # dead end: leave squares until one has a candidate left
+            moves.pop()
+            if not moves:
+                raise RuntimeError(f"no tour from {start}")  # unreachable on the 8x8 board
+            square = path.pop()
+            visited[square] = False
+            for t in _NEIGHBOURS[square]:
+                degree[t] += 1
+            key = next(moves[-1], None)
+        square = key % SQUARES
+        path.append(square)
+    return Tour(tuple(divmod(square, BOARD) for square in path))
 
 
 def square_to_algebraic(square) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 ROOT_SEPARATION = 1e-8
@@ -276,21 +277,60 @@ def factor_unity(n: int, sign: int) -> UnityFactorization:
 
 
 def demoivre_power(theta: float, n: int):
-    """(cos n*theta, sin n*theta), cross-checked against n-fold multiplication.
+    """(cos n*theta, sin n*theta), cross-checked against (cos theta + i sin theta)^n.
 
-    Negative n goes through the conjugate reciprocal; the two routes must
-    agree within 1e-10 or an internal-consistency error is raised.  theta
-    must be finite.
+    The power is taken by binary powering of cmath.exp(1j*theta), conjugated
+    for negative n, in at most 2*log2|n| complex products.  The two routes
+    must agree within `_power_tolerance` or an internal-consistency error is
+    raised.  theta and n*theta must be finite.
     """
     if not math.isfinite(theta):
         raise ValueError(f"angle theta must be finite, got {theta!r}")
-    direct = (math.cos(n * theta), math.sin(n * theta))
-    base = cmath.exp(1j * theta)
+    angle = n * theta
+    if not math.isfinite(angle):
+        raise ValueError(f"angle n*theta must be finite, got {angle!r}")
+    direct = (math.cos(angle), math.sin(angle))
+    square = cmath.exp(1j * theta)
     if n < 0:
-        base = base.conjugate()
-    acc = 1 + 0j
-    for _ in range(abs(n)):
-        acc *= base
-    if abs(acc.real - direct[0]) > 1e-10 or abs(acc.imag - direct[1]) > 1e-10:
-        raise ArithmeticError("multiple-angle and repeated-product routes disagree")
+        square = square.conjugate()
+    power = 1 + 0j
+    k = abs(n)
+    while k:
+        if k & 1:
+            power *= square
+        k >>= 1
+        if k:
+            square *= square
+    tolerance = _power_tolerance(angle, n)
+    if abs(power.real - direct[0]) > tolerance or abs(power.imag - direct[1]) > tolerance:
+        raise ArithmeticError("multiple-angle and binary-power routes disagree")
     return direct
+
+
+def _power_tolerance(angle: float, n: int) -> float:
+    """Bound on |each route's component - its exact value|, summed over both routes.
+
+    With eps the machine epsilon and u = eps/2 the unit roundoff:
+
+    * Direct route.  float(n)*theta is rounded twice, so the argument is off
+      by at most (2u + u^2)|n*theta|; cos and sin are Lipschitz-1 and round
+      their results once more, within one ulp <= eps.  Doubling these
+      first-order terms covers the second-order ones: 2*eps*(|n*theta| + 1).
+    * Powered route.  cmath.exp(1j*theta) is e^(i theta)(1 + beta) with
+      |beta| <= eps, as cos and sin are each within one ulp.  Each complex
+      product rounds by a factor (1 + mu) with |mu| <= sqrt(5)*u (Brent,
+      Percival and Zimmermann, Math. Comp. 76, 2007).  The product that forms
+      base^(2^j) enters the result raised to floor(|n|/2^j), so the exponents
+      of all roundings sum to at most |n| - 1, as for |n| - 1 repeated
+      products.  Hence the power is off by at most
+      (1 + eps)^|n| (1 + sqrt(5)*u)^(|n|-1) - 1 <= expm1((1 + sqrt(5)/2)|n| eps).
+      This term grows like |n|*eps however small theta is, because |base|
+      differs from 1 by up to eps; only ~2*log2|n| of the roundings are made,
+      but the early squarings' errors are raised to high powers.
+
+    Past |n| ~ 2.3e15 the bound exceeds 2 and the check constrains nothing;
+    the direct route's value is still returned, though its argument error
+    eps*|n*theta| may by then pass 2*pi.
+    """
+    eps = sys.float_info.epsilon
+    return 2 * eps * (abs(angle) + 1) + math.expm1((1 + math.sqrt(5) / 2) * abs(n) * eps)

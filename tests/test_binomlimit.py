@@ -235,6 +235,17 @@ def test_tail_against_erfc(c):
     assert abs(limit_tail_probability(c) - math.erfc(c / math.sqrt(2))) <= 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=37.0))
+@example(10.0)  # 2.5e-4 off relative while the tail had only an absolute tolerance
+@example(20.0)  # 2.1e-3 off
+@example(36.57539433135964)
+@example(37.0)
+def test_tail_against_erfc_relative(c):
+    exact = math.erfc(c / math.sqrt(2))
+    assert abs(limit_tail_probability(c) - exact) <= 1e-12 * exact
+
+
 def test_quadrature_gives_up_after_fifty_subintervals():
     with pytest.raises(ArithmeticError, match="50 subintervals"):
         _qags(lambda t: math.sin(200 * t), 0.0, 100.0)

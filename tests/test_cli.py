@@ -149,6 +149,29 @@ def test_non_finite_argument_exits_3(command, flag, message, value):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["series", "revert", "--coeffs=nan,1", "--order", "3"], "--coeffs: coefficient of x^1 is not finite: nan"),
+        (["series", "revert", "--coeffs=1,-inf", "--order", "3"], "--coeffs: coefficient of x^2 is not finite: -inf"),
+        (["series", "revert", "--coeffs=1e-300,1e300", "--order", "4"], "result: coefficient of x^2 is not finite"),
+        (["series", "raise", "--coeffs=nan,1", "--power", "2", "--order", "3"], "--coeffs: coefficient of x^1"),
+        (["series", "compose", "--f=1,inf", "--g=1,1", "--order", "3"], "--f: coefficient of x^2 is not finite: inf"),
+        (["series", "compose", "--f=1,1", "--g=nan", "--order", "3"], "--g: coefficient of x^1 is not finite: nan"),
+    ],
+)
+def test_real_series_with_non_finite_coefficient_exits_3(argv, message):
+    code, out, err = run(argv + ["--real"])
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
+def test_real_series_keeps_finite_results():
+    record = run_json(["series", "revert", "--real", "--coeffs", "2,1", "--order", "4"])
+    assert record["result"] == ["0.5", "-0.125", "0.0625", "-0.0390625"]
+
+
 def test_limit_at_huge_c_prints_one():
     for c in ("5000", "10000"):
         assert run_json(["binom", "limit", "--c", c])["result"] == "1"

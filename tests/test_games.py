@@ -5,7 +5,12 @@ import pytest
 
 from demoivre.exactnum import Odds
 from demoivre.games import (
+    _NEIGHBOURS,
+    BOARD,
+    KNIGHT_MOVES,
     Tour,
+    _is_knight_move,
+    _on_board,
     algebraic_to_square,
     deck_match_odds,
     find_tour,
@@ -14,6 +19,43 @@ from demoivre.games import (
     tour_to_text,
     validate_tour,
 )
+
+
+def recursive_find_tour(start):
+    """Oracle: the recursive solver find_tour ran before its neighbour table.
+
+    It rebuilds the neighbour list of every candidate at every node and
+    recounts each onward degree from scratch.
+    """
+
+    def neighbours(square):
+        f, r = square
+        return [t for t in ((f + df, r + dr) for df, dr in KNIGHT_MOVES) if _on_board(t)]
+
+    visited = {start}
+    path = [start]
+
+    def degree(sq):
+        return sum(1 for t in neighbours(sq) if t not in visited)
+
+    def extend():
+        if len(path) == BOARD * BOARD:
+            return True
+        options = sorted(
+            (t for t in neighbours(path[-1]) if t not in visited),
+            key=lambda t: (degree(t), t),
+        )
+        for t in options:
+            visited.add(t)
+            path.append(t)
+            if extend():
+                return True
+            visited.remove(t)
+            path.pop()
+        return False
+
+    assert extend()
+    return Tour(tuple(path))
 
 
 def test_deck_match_odds_examples():
@@ -80,6 +122,19 @@ def test_find_tour_contract():
 def test_find_tour_several_starts_validate():
     for start in ((0, 0), (4, 3), (6, 1)):
         assert validate_tour(find_tour(start).squares).valid
+
+
+def test_find_tour_matches_recursive_solver_from_every_square():
+    for start in [(f, r) for f in range(8) for r in range(8)]:  # d4, the slowest, included
+        assert find_tour(start).squares == recursive_find_tour(start).squares, start
+
+
+def test_neighbour_table_is_the_knight_graph():
+    for a in range(64):
+        for b in range(64):
+            knight = _is_knight_move(divmod(a, 8), divmod(b, 8))
+            assert (b in _NEIGHBOURS[a]) == knight, (a, b)
+            assert (a in _NEIGHBOURS[b]) == (b in _NEIGHBOURS[a]), (a, b)
 
 
 def test_find_tour_rejects_off_board_start():

@@ -1,14 +1,20 @@
 import cmath
+import json
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from demoivre import cli
 from demoivre.recurrence import (
     ClosedForm,
     DegenerateSpectrumError,
     DurationSpec,
     Recurrence,
+    _power_tolerance,
     demoivre_power,
     duration_exceeds_closed,
     duration_exceeds_exact,
@@ -306,3 +312,67 @@ def test_demoivre_power_addition_law():
         cn = complex(*demoivre_power(theta, n))
         combined = complex(*demoivre_power(theta, m + n))
         assert abs(cm * cn - combined) < 1e-10
+
+
+def binary_power(theta, n):
+    """Oracle: (cos theta + i sin theta)^n by binary powering, written out here."""
+    square = cmath.exp(1j * theta) if n >= 0 else cmath.exp(-1j * theta)
+    power = complex(1, 0)
+    for bit in reversed(bin(abs(n))[2:]):
+        if bit == "1":
+            power *= square
+        square *= square
+    return power
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-10.0, max_value=10.0), st.integers(min_value=-(10**18), max_value=10**18))
+@example(1.1, 10**7)  # exited 3 with "routes disagree" under the n-fold product
+@example(0.37, -(10**7))
+@example(2.5, 200_000)
+@example(1.1, 10**18)
+@example(-1.1, -(10**18))
+@example(5e-324, 10**18)
+@example(0.0, 0)
+def test_demoivre_power_returns_direct_route_up_to_huge_n(theta, n):
+    angle = n * theta
+    assert demoivre_power(theta, n) == (math.cos(angle), math.sin(angle))
+    power = binary_power(theta, n)
+    tolerance = _power_tolerance(angle, n)
+    assert abs(power.real - math.cos(angle)) <= tolerance
+    assert abs(power.imag - math.sin(angle)) <= tolerance
+
+
+def test_power_tolerance_is_tight_where_it_can_be():
+    for theta in (0.37, 1.1, 2.5):  # the benchmark's angles
+        assert _power_tolerance(200_000 * theta, 200_000) < 4e-10
+        assert abs(binary_power(theta, 200_000) - complex(*demoivre_power(theta, 200_000))) < 1.2e-11
+    assert _power_tolerance(1.1 * 10**7, 10**7) < 1e-8
+    assert _power_tolerance(0.0, 0) == 2 * sys.float_info.epsilon
+
+
+def test_power_tolerance_covers_the_n_fold_product():
+    rng = random.Random(2024)
+    for _ in range(20):
+        theta = rng.uniform(-math.pi, math.pi)
+        n = rng.choice((-1, 1)) * rng.randrange(1, 20_000)
+        base = cmath.exp(1j * theta) if n >= 0 else cmath.exp(-1j * theta)
+        acc = complex(1, 0)
+        for _ in range(abs(n)):
+            acc *= base
+        cos_n, sin_n = demoivre_power(theta, n)
+        assert max(abs(acc.real - cos_n), abs(acc.imag - sin_n)) <= _power_tolerance(n * theta, n)
+
+
+def test_demoivre_power_rejects_infinite_multiple_angle():
+    with pytest.raises(ValueError, match="angle n\\*theta must be finite"):
+        demoivre_power(1e300, 10**10)
+
+
+@pytest.mark.parametrize("n", ["10000000", "-10000000", "1000000000000000000"])
+def test_factor_power_cli_at_large_n(n):
+    code, out, err = cli.dispatch(["factor", "power", "--theta", "1.1", "--n", n])
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    angle = int(n) * 1.1
+    assert record["result"] == {"cos": format(math.cos(angle), ".17g"), "sin": format(math.sin(angle), ".17g")}
