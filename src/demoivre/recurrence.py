@@ -286,7 +286,10 @@ def demoivre_power(theta: float, n: int):
     """
     if not math.isfinite(theta):
         raise ValueError(f"angle theta must be finite, got {theta!r}")
-    angle = n * theta
+    try:
+        angle = n * theta
+    except OverflowError:  # n itself has no float value
+        raise ValueError(f"angle n*theta must be finite, got n of {n.bit_length()} bits") from None
     if not math.isfinite(angle):
         raise ValueError(f"angle n*theta must be finite, got {angle!r}")
     direct = (math.cos(angle), math.sin(angle))
@@ -330,7 +333,9 @@ def _power_tolerance(angle: float, n: int) -> float:
 
     Past |n| ~ 2.3e15 the bound exceeds 2 and the check constrains nothing;
     the direct route's value is still returned, though its argument error
-    eps*|n*theta| may by then pass 2*pi.
+    eps*|n*theta| may by then pass 2*pi.  Past |n| ~ 1.5e18, where expm1
+    would overflow, the bound is infinite.
     """
     eps = sys.float_info.epsilon
-    return 2 * eps * (abs(angle) + 1) + math.expm1((1 + math.sqrt(5) / 2) * abs(n) * eps)
+    drift = (1 + math.sqrt(5) / 2) * abs(n) * eps
+    return 2 * eps * (abs(angle) + 1) + (math.expm1(drift) if drift < 700 else math.inf)

@@ -1,0 +1,179 @@
+"""Golden CLI corpus: argvs, how one call is captured, and how the corpus is recorded.
+
+`tests/data/cli_golden.json` holds (exit, stdout, stderr) for every
+`SAMPLE_INVOCATIONS` argv and every edge argv below, each in the default
+(json) and the text format.  `test_cli_golden.py` replays it byte for byte.
+Paths inside the package's data directory are written as `{DATA}` in argvs
+and outputs.  To re-record (only when an output is meant to change):
+
+    PYTHONPATH=src python tests/cli_golden.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import demoivre
+from demoivre import cli
+
+from cli_cases import SAMPLE_INVOCATIONS
+
+CORPUS_PATH = Path(__file__).with_name("data") / "cli_golden.json"
+DATA = "{DATA}"
+DATA_DIR = os.path.join(os.path.dirname(demoivre.__file__), "data")
+COLUMNS = "80"  # argparse wraps usage and help text to the terminal width
+
+SIMULATE = ["binom", "simulate", "--n", "100", "--c", "1", "--reps", "200", "--seed", "7"]
+JOINT = ["--age-a", "50", "--age-b", "60", "--rate", "0.05"]
+MATY_CSV = f"{DATA}/maty_breslau.csv"
+
+EDGE_INVOCATIONS = [
+    # --workers: 0 is the default and is not echoed, 1 is; a bad count
+    SIMULATE + ["--workers", "0"],
+    SIMULATE + ["--workers", "1"],
+    SIMULATE + ["--workers", "33"],
+    SIMULATE + ["--workers", "x"],
+    SIMULATE + ["--seed", "0", "--p", "1/3"],
+    # --p and --odds are echoed parsed
+    ["num", "odds", "--p", "2/4"],
+    ["num", "odds", "--p", "0.3"],
+    ["num", "odds", "--p", "3/2"],
+    ["binom", "exact", "--n", "100", "--c", "1", "--p", "2/4"],
+    ["binom", "exact", "--n", "100", "--c", "1", "--p", "0.3"],
+    ["binom", "sample-size", "--p", "0.3", "--c", "2/10", "--alpha", "0.1"],
+    ["duration", "exact", "--b", "4", "--p", "0.30", "--n", "10"],
+    ["num", "prob", "--odds", "02:3"],
+    ["num", "prob", "--odds", "2"],
+    ["num", "prob", "--odds", "a:b"],
+    ["num", "prob", "--odds", "0:0"],
+    ["num", "prob", "--odds", "2", "--bogus"],
+    ["num", "prob", "--odds", "2", "--format", "xml"],
+    # --real
+    ["series", "raise", "--real", "--coeffs", "0.5,1", "--power", "3", "--order", "4"],
+    ["series", "revert", "--real", "--coeffs", "2,1", "--order", "4"],
+    ["series", "compose", "--real", "--f", "0,1", "--g", "0.5,0.25", "--order", "4"],
+    ["series", "revert", "--real", "--coeffs=nan,1", "--order", "3"],
+    # coefficient, age and rate lists are echoed raw
+    ["series", "raise", "--coeffs", "1,,1", "--power", "2", "--order", "4"],
+    ["series", "raise", "--coeffs", ",", "--power", "2", "--order", "4"],
+    ["series", "raise", "--coeffs", "x", "--power", "2", "--order", "4"],
+    ["series", "revert", "--coeffs", " 1, 1 ", "--order", "3"],
+    ["series", "compose", "--f", ",", "--g", "1", "--order", "3"],
+    ["recur", "solve", "--coeffs", ",", "--init", "1"],
+    ["recur", "eval", "--coeffs", "1,1", "--init", "x", "--n", "3"],
+    ["annuity", "error-table", "--maty", "--ages", "20,,50", "--rates", "0.05,"],
+    ["annuity", "error-table", "--maty", "--ages", "20,x", "--rates", "0.05"],
+    # life models, their -b variants and the survivor-tail note
+    ["annuity", "joint", "--maty", "--law-b", "86"] + JOINT,
+    ["annuity", "joint", "--law", "86", "--table-b", MATY_CSV] + JOINT,
+    ["annuity", "joint", "--law", "86", "--maty-b"] + JOINT,
+    ["annuity", "joint", "--maty", "--maty-b", "--law-b", "86"] + JOINT,
+    ["annuity", "joint", "--maty", "--law", "86"] + JOINT,
+    ["annuity", "table", "--law", "86"],
+    ["annuity", "table", "--table", MATY_CSV],
+    ["annuity", "table"],
+    ["annuity", "survival", "--table", MATY_CSV, "--age", "50", "--t", "10"],
+    ["annuity", "value", "--table", MATY_CSV, "--age", "50", "--rate", "0.05"],
+    ["annuity", "joint", "--table", MATY_CSV] + JOINT,
+    ["annuity", "error-table", "--table", MATY_CSV, "--ages", "20,50", "--rates", "0.05"],
+    ["annuity", "value", "--table", f"{DATA}/no_such_table.csv", "--age", "50", "--rate", "0.05"],
+    ["annuity", "value", "--age", "50", "--rate", "0.05"],
+    ["annuity", "value", "--law", "86", "--age", "90", "--rate", "0.05"],
+    ["annuity", "survival", "--maty", "--age", "90", "--t", "3"],
+    ["annuity", "error-table", "--law", "86", "--ages", "50", "--rates", "0.05"],
+    # zero-valued ints and floats are echoed
+    ["num", "factorial", "--n", "0"],
+    ["num", "binom", "--n", "0", "--k", "0"],
+    ["series", "raise", "--coeffs", "1,1", "--power", "0", "--order", "3"],
+    ["series", "multinomial", "--degree", "0", "--power", "0"],
+    ["binom", "exact", "--n", "0", "--c", "0"],
+    ["binom", "term", "--n", "100", "--l", "0"],
+    ["binom", "limit", "--c", "0"],
+    ["duration", "exact", "--b", "4", "--p", "0", "--n", "0"],
+    ["recur", "eval", "--coeffs", "1,1", "--init", "0,1", "--n", "0"],
+    ["recur", "sum", "--coeffs", "1,1", "--init", "0,1", "--upto", "0"],
+    ["factor", "unity", "--n", "0", "--sign", "1"],
+    ["factor", "power", "--theta", "0", "--n", "0"],
+    ["annuity", "survival", "--law", "86", "--age", "50", "--t", "0"],
+    ["annuity", "value", "--law", "86", "--age", "30", "--rate", "0"],
+    ["conic", "curvature", "--a", "2", "--b", "1", "--theta", "0"],
+    ["conic", "inverse-square", "--a", "2", "--b", "1", "--samples", "0"],
+    ["games", "deck-odds", "--size", "0"],
+    # other domain errors
+    ["binom", "remark1", "--n", "3601"],
+    ["binom", "limit", "--c=nan"],
+    ["duration", "closed", "--b", "3", "--p", "0.5", "--n", "4"],
+    ["series", "revert", "--coeffs", "0,1", "--order", "4"],
+    ["factor", "power", "--theta=inf", "--n", "3"],
+    ["conic", "force", "--a=nan", "--b", "1", "--theta", "0.5"],
+    ["games", "tour", "--start", "z9"],
+    ["games", "validate", "--squares", "a1 b3"],
+    # usage errors and help
+    [],
+    ["nonsense"],
+    ["num"],
+    ["binom", "remark1"],
+    ["num", "odds", "--p", "zebra"],
+    ["num", "factorial", "--n", "1.5"],
+    ["factor", "unity", "--n", "6", "--sign", "2"],
+    ["conic", "force", "--a", "x", "--b", "1", "--theta", "0"],
+    ["binom", "simulate", "--n", "100", "--c", "1", "--reps", "10"],
+    ["--help"],
+    ["annuity", "joint", "--help"],
+    ["binom", "simulate", "-h"],
+]
+
+
+def tour_invocations():
+    """`games validate` on the a1 tour and on the same tour with two squares swapped."""
+    code, out, _ = cli.dispatch(["games", "tour", "--start", "a1"])
+    assert code == 0
+    squares = json.loads(out)["result"].split()
+    swapped = squares[:1] + squares[2:3] + squares[1:2] + squares[3:]
+    return [["games", "validate", "--squares", " ".join(tour)] for tour in (squares, swapped)]
+
+
+def from_argparse(argv, code) -> bool:
+    """Whether the call's output is argparse's own usage, error or help text."""
+    return code == 2 or "-h" in argv or "--help" in argv
+
+
+def capture(argv):
+    """(exit, stdout, stderr) of one call as a process sees them, argparse's own text included.
+
+    `{DATA}` in argv stands for the package's data directory, and the
+    directory is written back as `{DATA}` in the output.
+    """
+    real = [arg.replace(DATA, DATA_DIR) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code, text, error = cli.dispatch(real)
+    return code, (out.getvalue() + text).replace(DATA_DIR, DATA), (err.getvalue() + error).replace(DATA_DIR, DATA)
+
+
+def corpus_argvs():
+    base = SAMPLE_INVOCATIONS + tour_invocations() + EDGE_INVOCATIONS
+    return [argv + extra for argv in base for extra in ([], ["--format", "text"])]
+
+
+def record():
+    os.environ["COLUMNS"] = COLUMNS
+    cases = []
+    for argv in corpus_argvs():
+        code, out, err = capture(argv)
+        cases.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
+    corpus = {"python": "%d.%d" % sys.version_info[:2], "cases": cases}
+    CORPUS_PATH.parent.mkdir(exist_ok=True)
+    with open(CORPUS_PATH, "w") as handle:
+        json.dump(corpus, handle, indent=1)
+        handle.write("\n")
+    print(f"recorded {len(cases)} calls in {CORPUS_PATH}")
+
+
+if __name__ == "__main__":
+    record()

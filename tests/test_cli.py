@@ -149,6 +149,12 @@ def test_non_finite_argument_exits_3(command, flag, message, value):
     assert message in err
 
 
+def test_power_with_n_beyond_float_range_exits_3_with_its_own_message():
+    code, out, err = run(["factor", "power", "--theta", "1", "--n", str(10**310)])
+    assert (code, out) == (3, "")
+    assert err == "error: angle n*theta must be finite, got n of 1030 bits\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

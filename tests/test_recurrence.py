@@ -281,6 +281,19 @@ def test_demoivre_power_rejects_non_finite_angle(theta):
         demoivre_power(theta, 3)
 
 
+@pytest.mark.parametrize("theta, n", [(1.0, 10**310), (-1.0, 10**310), (0.0, -(10**310))])
+def test_demoivre_power_rejects_n_beyond_float_range(theta, n):
+    with pytest.raises(ValueError, match=r"angle n\*theta must be finite, got n of 1030 bits"):
+        demoivre_power(theta, n)
+
+
+def test_demoivre_power_past_the_tolerance_range():
+    # (1 + sqrt(5)/2)|n| eps overflows expm1 here; the bound is then infinite, not an OverflowError
+    for theta, n in ((1e-300, 10**300), (1e-10, 10**19), (0.0, 10**308)):
+        angle = n * theta
+        assert demoivre_power(theta, n) == (math.cos(angle), math.sin(angle))
+
+
 def test_demoivre_power_examples():
     cos_n, sin_n = demoivre_power(math.pi / 6, 3)
     assert cos_n == pytest.approx(0.0, abs=1e-15)
