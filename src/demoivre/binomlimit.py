@@ -36,7 +36,12 @@ GAUSS_ZERO = 20.0
 
 @dataclass(frozen=True)
 class TrialSpec:
-    """n independent trials with success probability p (default 1/2)."""
+    """n independent trials with success probability p (default 1/2).
+
+    A float p is taken as the decimal it prints as, Fraction(repr(p)): 0.3
+    is 3/10, not its binary value, whose 2^54 denominator would pass into
+    every exact band sum.  The float of that Fraction is p again.
+    """
 
     n: int
     p: object = Fraction(1, 2)
@@ -46,6 +51,8 @@ class TrialSpec:
             raise ValueError("need at least one trial")
         if not 0 < self.p < 1:
             raise ValueError("success probability must lie strictly in (0, 1)")
+        if isinstance(self.p, float):
+            object.__setattr__(self, "p", Fraction(repr(float(self.p))))
 
 
 @dataclass(frozen=True)
@@ -82,8 +89,8 @@ def band_bounds(spec: TrialSpec, c: float):
 def exact_central_probability(spec: TrialSpec, c: float):
     """Sum of binomial masses over the inclusive central band.
 
-    Returns an exact Fraction for n <= 4096 (p is used exactly, floats
-    included via their binary value), a compensated float above.
+    Returns an exact Fraction for n <= 4096 (p is used exactly, a float p
+    as the decimal TrialSpec makes of it), a compensated float above.
     """
     lo, hi = band_bounds(spec, c)
     if spec.n <= RATIONAL_LIMIT:

@@ -28,16 +28,33 @@ class DomainFailure(Exception):
     """Wraps library domain errors for exit-code 3 handling."""
 
 
+def _decimal_str(n: int) -> str:
+    """str(n), also past Python's limit on the digits of an int-to-str conversion.
+
+    Since 3.11 str() refuses ints of more than 4300 digits by default (C(20000,
+    10000) has 6019); such an int is split at a power of ten and each half
+    printed in turn.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _decimal_str(-n)
+        digits = n.bit_length() * 30103 // 200000  # about half of n's digits
+        high, low = divmod(n, 10**digits)
+        return _decimal_str(high) + _decimal_str(low).zfill(digits)
+
+
 def canonical(value):
     """Render result values deterministically: exact strings, 17g reals."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
-        return str(value)
+        return _decimal_str(value)
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_decimal_str(value.numerator)}/{_decimal_str(value.denominator)}"
     if isinstance(value, Odds):
         return f"{value.favor}:{value.against}"
     if isinstance(value, complex):
@@ -58,10 +75,18 @@ def parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
 
 
-def parse_coefficients(text: str, real: bool):
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+def list_fields(text: str, flag: str) -> list:
+    """The stripped comma-separated fields of a list flag; an empty field is a domain error."""
+    fields = [field.strip() for field in text.split(",")]
+    if not all(fields):
+        raise DomainFailure(f"{flag} has an empty field: {text!r}")
+    return fields
+
+
+def parse_coefficients(text: str, real: bool, flag: str = "--coeffs"):
+    if not text.replace(",", "").strip():
         raise DomainFailure("empty coefficient list")
+    parts = list_fields(text, flag)
     try:
         if real:
             return [float(p) for p in parts]
@@ -111,7 +136,7 @@ def _finite(ps, where):
 
 
 def _series(args, flag="coeffs"):
-    coeffs = parse_coefficients(getattr(args, flag), args.real)
+    coeffs = parse_coefficients(getattr(args, flag), args.real, "--" + flag)
     return _finite(series.PowerSeries(tuple(coeffs)), f"--{flag}")
 
 
@@ -121,8 +146,19 @@ def _coefficients(ps):
 
 def _recurrence(args):
     coeffs = parse_coefficients(args.coeffs, real=True)
-    init = parse_coefficients(args.init, real=True)
+    init = parse_coefficients(args.init, real=True, flag="--init")
     return recurrence.Recurrence(tuple(coeffs), tuple(init))
+
+
+def _term(args):
+    """a_n from the closed form; for n inside the initial terms, the stated term itself.
+
+    The closed form is solved and evaluated at every n, so a recurrence it
+    cannot take, or a negative n, is a domain error inside the initial terms too.
+    """
+    rec = _recurrence(args)
+    value = recurrence.eval_closed_form(recurrence.solve_recurrence(rec), args.n)
+    return rec.initial_terms[args.n] if args.n < rec.order else value
 
 
 def _ellipse(args):
@@ -185,8 +221,8 @@ def _joint(args):
 
 def _error_table(args):
     model = _life_table(args, "error table compares the law against a table; use --maty or --table")
-    ages = [int(a) for a in args.ages.split(",") if a.strip()]
-    rates = [float(r) for r in args.rates.split(",") if r.strip()]
+    ages = [int(a) for a in list_fields(args.ages, "--ages")]
+    rates = [float(r) for r in list_fields(args.rates, "--rates")]
     grid = lifeannuity.approximation_error_table(model, ages, rates)
     return _noted({"ages": ages, "rates": rates, "percent": grid}, model)
 
@@ -301,8 +337,7 @@ COMMANDS = tuple(Command(op, tuple(path.split()), args, call, provenance) for op
      lambda a: {"terms": [{"coefficient": c, "root": r}
                           for c, r in recurrence.solve_recurrence(_recurrence(a)).terms]},
      "recurrent series split into geometric progressions (Miscellanea Analytica, 1730)"),
-    ("recurrence.eval_closed_form", "recur eval", dict(RECURRENCE, n=INT),
-     lambda a: recurrence.eval_closed_form(recurrence.solve_recurrence(_recurrence(a)), a.n),
+    ("recurrence.eval_closed_form", "recur eval", dict(RECURRENCE, n=INT), _term,
      "term evaluation of a recurrent series' geometric decomposition"),
     ("recurrence.partial_sum", "recur sum", dict(RECURRENCE, upto=INT),
      lambda a: recurrence.partial_sum(_recurrence(a), a.upto),

@@ -115,6 +115,19 @@ def test_band_matches_enumeration_oracle():
             assert exact_central_probability(spec, c) == enumerate_band_probability(n, Fraction(2, 5), c)
 
 
+def test_float_p_is_taken_as_its_decimal():
+    # the binary value of 0.3 puts k = 25 in the band at c = 1 (|25 - 100 p| = 5.0000000000000011 > 5)
+    assert TrialSpec(100, 0.3).p == Fraction(3, 10)
+    value = exact_central_probability(TrialSpec(100, 0.3), 1)
+    assert value == exact_central_probability(TrialSpec(100, Fraction(3, 10)), 1)
+    assert value == enumerate_band_probability(100, Fraction(3, 10), 1)
+    for p in (0.1, 0.3, 1 / 3, 2**-60, 1 - 2**-53):
+        assert float(TrialSpec(10, p).p) == p
+    for p in (math.nan, math.inf, -math.inf, 0.0, 1.0):
+        with pytest.raises(ValueError, match="success probability"):
+            TrialSpec(10, p)
+
+
 def test_large_band_near_limit():
     value = float(exact_central_probability(TrialSpec(3600, HALF), 1))
     assert abs(value - 0.6827) < 0.01

@@ -1,7 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -183,6 +186,35 @@ def test_limit_at_huge_c_prints_one():
         assert run_json(["binom", "limit", "--c", c])["result"] == "1"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["series", "raise", "--coeffs", "1,,1", "--power", "2", "--order", "4"], "--coeffs"),
+    (["series", "compose", "--f", "0,1", "--g", "1, ,1", "--order", "4"], "--g"),
+    (["recur", "eval", "--coeffs", "1,1", "--init", "0,1,", "--n", "3"], "--init"),
+    (["annuity", "error-table", "--maty", "--ages", "20,,50", "--rates", "0.05"], "--ages"),
+    (["annuity", "error-table", "--maty", "--ages", "20,50", "--rates", "0.05,"], "--rates"),
+])
+def test_empty_list_field_exits_3_naming_the_list(argv, flag):
+    code, out, err = run(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {flag} has an empty field")
+
+
+def test_recur_eval_inside_the_initial_terms_returns_them():
+    for n, term in enumerate(["0", "1"]):
+        assert run_json(["recur", "eval", "--coeffs", "1,1", "--init", "0,1", "--n", str(n)])["result"] == term
+    # from n = k on the value is the closed form's, with its rounding
+    assert run_json(["recur", "eval", "--coeffs", "1,1", "--init", "0,1", "--n", "2"])["result"] == "0.99999999999999989"
+    assert run(["recur", "eval", "--coeffs", "1,1", "--init", "0,1", "--n", "-1"])[0] == 3
+
+
+def test_integers_past_the_str_digit_limit_are_printed():
+    # str() of an int over 4300 digits raises on Python 3.11+; Decimal prints it in full
+    n = math.comb(20000, 10000)
+    assert run_json(["num", "binom", "--n", "20000", "--k", "10000"])["result"] == str(Decimal(n))
+    assert cli.canonical(Fraction(1, -n)) == f"-1/{Decimal(n)}"
+    assert run(["binom", "exact", "--n", "4096", "--c", "1", "--p", "0.123"])[0] == 0
+
+
 def test_cached_parser_output_matches_fresh_process(capsys):
     assert cli.build_parser() is cli.build_parser()
     assert run(["binom", "remark1"])[0] == 2  # argparse error first
@@ -195,6 +227,19 @@ def test_cached_parser_output_matches_fresh_process(capsys):
 def test_cli_import_leaves_numpy_and_scipy_unloaded():
     code = "import sys, demoivre.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
     assert run_fresh(["-c", code]) == (0, "[]\n", "")
+
+
+def test_duration_walk_and_large_binomial_leave_numpy_unloaded():
+    # both are pure Python at any size: no numpy route above a work threshold
+    code = (
+        "import sys\n"
+        "from demoivre import cli\n"
+        "for argv in (['duration', 'exact', '--b', '50', '--p', '0.49', '--n', '3000'],\n"
+        "             ['num', 'binom', '--n', '20000', '--k', '10000']):\n"
+        "    assert cli.dispatch(argv)[0] == 0, argv\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert run_fresh(["-c", code]) == (0, "False\n", "")
 
 
 @pytest.mark.parametrize("workers", ["33", "-1"])

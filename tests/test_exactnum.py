@@ -1,10 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from demoivre import exactnum
 from demoivre.exactnum import (
     Odds,
+    _by_primes,
+    _primes_upto,
     binomial_coefficient,
     factorial,
     odds_from_probability,
@@ -56,6 +60,48 @@ def test_binomial_symmetry_and_row_sums():
         assert sum(binomial_coefficient(n, k) for k in range(n + 1)) == 2**n
         for k in range(n + 1):
             assert binomial_coefficient(n, k) == binomial_coefficient(n, n - k)
+
+
+def edge_and_random_ks(n, rng, count=6):
+    return [-1, 0, 1, n // 2, n - 1, n, n + 1, *(rng.randrange(n + 1) for _ in range(count))]
+
+
+def comb_or_zero(n, k):
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
+@pytest.mark.parametrize("n", [20, 52, 1000, 3000, 4096, 20000])
+def test_binomial_matches_comb_on_both_routes(n):
+    rng = random.Random(n)
+    ks = edge_and_random_ks(n, rng)
+    assert _by_primes(n, n // 2) == (n >= 3000)  # the central term takes the prime route from here
+    for k in ks:
+        assert binomial_coefficient(n, k) == comb_or_zero(n, k), (n, k)
+
+
+def test_binomial_route_switch_points():
+    # each side of the switch at n = 20000, where it lies at 12 * 141 + 300 = 1992
+    assert not _by_primes(20000, 1991) and _by_primes(20000, 1992)
+    for k in (1991, 1992, 20000 - 1992):
+        assert binomial_coefficient(20000, k) == math.comb(20000, k)
+    assert not _by_primes(20, 7) and not _by_primes(52, 5)  # the CLI's samples stay on math.comb
+
+
+def test_prime_route_matches_comb_at_every_size(monkeypatch):
+    monkeypatch.setattr(exactnum, "_by_primes", lambda n, j: True)
+    for n in range(0, 130):
+        for k in range(-1, n + 2):
+            assert binomial_coefficient(n, k) == comb_or_zero(n, k), (n, k)
+    rng = random.Random(5)
+    for n in (997, 1024, 2**12 + 1, 7919):  # primes, a power of two and a neighbour of one
+        for k in edge_and_random_ks(n, rng, 3):
+            assert binomial_coefficient(n, k) == comb_or_zero(n, k), (n, k)
+
+
+def test_sieve_against_trial_division():
+    primes = [p for p in range(2, 3000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for n in (0, 1, 2, 3, 4, 8, 9, 24, 25, 26, 120, 121, 2999):
+        assert _primes_upto(n) == [p for p in primes if p <= n]
 
 
 def test_odds_examples():

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -227,6 +228,95 @@ def test_duration_spec_validation():
         DurationSpec(4, 1.0, 4)
     with pytest.raises(ValueError):
         DurationSpec(4, 0.5, -1)
+
+
+def loop_walk_oracle(spec):
+    """The walk over all 2b-1 interior states, one state at a time, skipping empty ones."""
+    size = 2 * spec.b - 1
+    p, q = spec.p, 1.0 - spec.p
+    mass = [0.0] * size
+    mass[spec.b - 1] = 1.0
+    for _ in range(spec.n):
+        new = [0.0] * size
+        for i, m in enumerate(mass):
+            if m == 0.0:
+                continue
+            if i + 1 < size:
+                new[i + 1] += p * m
+            if i - 1 >= 0:
+                new[i - 1] += q * m
+        mass = new
+    return min(math.fsum(mass), 1.0)
+
+
+def integer_walk(b, p, n):
+    """Exact P(no ruin within n games) for rational p = a/d, by counting weighted paths.
+
+    De Moivre's own count: each game maps the integer weights m_j to
+    a*m_(j-1) + (d-a)*m_(j+1), and the probability is sum(m) / d^n.
+    """
+    a, d = p.numerator, p.denominator
+    mass = [0] * (2 * b + 1)  # the absorbing barriers at each end stay 0
+    mass[b] = 1
+    for _ in range(n):
+        mass = [0, *(a * mass[j - 1] + (d - a) * mass[j + 1] for j in range(1, 2 * b)), 0]
+    return Fraction(sum(mass), d**n)
+
+
+walk_p = st.one_of(
+    st.sampled_from([5e-324, 1 - 2**-53, 0.5, 0.5 - 2**-53, 0.5 + 2**-53]),
+    st.floats(0.5 - 1e-6, 0.5 + 1e-6),
+    st.floats(5e-324, 1 - 2**-53),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 120), walk_p, st.integers(0, 500))
+@example(1, 0.3, 5)
+@example(2, 5e-324, 11)
+@example(5, 1 - 2**-53, 11)
+@example(50, 0.49, 500)
+def test_parity_walk_is_bit_identical_to_the_loop(b, p, n):
+    spec = DurationSpec(b, p, n)
+    assert duration_exceeds_exact(spec).hex() == loop_walk_oracle(spec).hex()
+
+
+def test_parity_walk_small_stakes_grid():
+    for b in range(1, 6):
+        for p in (5e-324, 1 - 2**-53, 0.3, 0.5, 0.5 + 2**-53):
+            for n in range(12):
+                spec = DurationSpec(b, p, n)
+                assert duration_exceeds_exact(spec).hex() == loop_walk_oracle(spec).hex(), spec
+
+
+def test_integer_walk_counts_paths():
+    # b = 2: only the mixed pairs WL and LW keep playing, each pair of games
+    assert integer_walk(2, Fraction(3, 10), 2) == Fraction(42, 100)
+    assert integer_walk(2, Fraction(1, 2), 4) == Fraction(1, 4)
+    assert integer_walk(1, Fraction(1, 3), 1) == 0
+
+
+def walk_relative_tolerance(n):
+    """Bound on |walk - exact| / exact for a rational p <= 1/2 rounded to a float.
+
+    With u = 2^-53, float(p) and q = 1 - float(p) are each within 2u of p
+    and 1 - p in relative terms (for p <= 1/2, q/p >= 1 keeps the rounding
+    of p relative in q).  Every surviving path is a product of n factors p
+    or q, and each game rounds its product and its sum once, so each path's
+    float weight is off by a factor within (1 + 2u)^n (1 + u)^(2n); fsum
+    rounds once more.  All terms are positive, so the bound on a term is a
+    bound on the sum: expm1((4n + 1) u), 1.3e-12 at n = 3000.
+    """
+    return math.expm1((4 * n + 1) * 2**-53)
+
+
+# The walk is 5.3e-15 relative off the exact count at (100, 3/10, 100) and
+# 8.5e-16 at (50, 49/100, 3000).
+@pytest.mark.parametrize("b, p, n", [(100, Fraction(3, 10), 100), (50, Fraction(49, 100), 3000)])
+def test_walk_against_exact_integer_walk(b, p, n):
+    exact = integer_walk(b, p, n)
+    walk = duration_exceeds_exact(DurationSpec(b, float(p), n))
+    assert abs(Fraction(walk) - exact) <= walk_relative_tolerance(n) * exact
 
 
 # ------------------------------------------------------- unity factorization
