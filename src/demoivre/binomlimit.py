@@ -6,7 +6,8 @@ there) and in compensated floating point above.  One kernel, `_band_mass`,
 takes every exact band sum, for the central band and for the sample-size
 scan alike: an integer recurrence steps each binomial coefficient from the
 last and accumulates the terms by Horner's rule, so a band takes one
-math.comb and three big powers in all, not a comb and two powers per term.
+binomial coefficient and three big powers in all, not a coefficient and
+two powers per term.
 The limiting band probability integrates the kernel
 (2/sqrt(2*pi))*exp(-2 t^2) numerically, by a port of QUADPACK's QAGS
 (21-point Gauss-Kronrod rule, largest-error bisection); the closed-form
@@ -21,6 +22,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
+
+from .exactnum import binomial_coefficient
 
 RATIONAL_LIMIT = 4096
 MAX_WORKERS = 32
@@ -78,11 +81,20 @@ def _check_multiplier(c) -> None:
 
 
 def band_bounds(spec: TrialSpec, c: float):
-    """Inclusive integer range of counts k with |k - n*p| <= c*sqrt(n)/2."""
+    """Inclusive integer range of counts k with |k - n*p| <= c*sqrt(n)/2.
+
+    The mean n*p and the float half-width are compared exactly, as
+    Fractions: a rounded mean can drop an endpoint that lies exactly on the
+    band's edge (n = 3025, p = 3/11, c = 2: n*p = 825, half-width 55).
+    A finite c whose half-width overflows to inf takes every count.
+    """
     band = CentralBand.for_trials(c, spec.n)
-    mu = spec.n * float(spec.p)
-    lo = max(0, math.ceil(mu - band.half_width))
-    hi = min(spec.n, math.floor(mu + band.half_width))
+    if math.isinf(band.half_width):
+        return 0, spec.n
+    mu = spec.n * Fraction(spec.p)
+    half_width = Fraction(band.half_width)
+    lo = max(0, math.ceil(mu - half_width))
+    hi = min(spec.n, math.floor(mu + half_width))
     return lo, hi
 
 
@@ -90,7 +102,8 @@ def exact_central_probability(spec: TrialSpec, c: float):
     """Sum of binomial masses over the inclusive central band.
 
     Returns an exact Fraction for n <= 4096 (p is used exactly, a float p
-    as the decimal TrialSpec makes of it), a compensated float above.
+    as the decimal TrialSpec makes of it), a compensated float at most 1
+    above.
     """
     lo, hi = band_bounds(spec, c)
     if spec.n <= RATIONAL_LIMIT:
@@ -107,13 +120,15 @@ def _band_mass(n: int, p: Fraction, lo: int, hi: int) -> Fraction:
     a^lo q^(n-hi) / d^n * sum_k C(n, k) a^(k-lo) q^(hi-k), and the sum is
     taken by Horner's rule in q while u = C(n, k) a^(k-lo) steps by the
     exact ratio (n-k) a / (k+1).  Every step multiplies a big integer by a
-    small one; the big powers are taken once, outside the loop.
+    small one; the big powers are taken once, outside the loop.  The first
+    coefficient C(n, lo) comes from exactnum.binomial_coefficient, which
+    builds a large one from prime powers.
     """
     if lo > hi:
         return Fraction(0)
     a = p.numerator
     q = p.denominator - a
-    u = math.comb(n, lo)
+    u = binomial_coefficient(n, lo)
     total = u
     for k in range(lo, hi):
         u = u * (n - k) // (k + 1) * a
@@ -123,7 +138,9 @@ def _band_mass(n: int, p: Fraction, lo: int, hi: int) -> Fraction:
 
 def _band_probability_float(n, p, lo, hi):
     # terms by two-sided recursion from the in-band mode, anchored by lgamma;
-    # Neumaier summation keeps the accumulated error near one ulp
+    # Neumaier summation keeps the accumulated error near one ulp.  lgamma's
+    # ~1e-12 relative error can lift a band near the whole row past 1
+    # (n = 5000, every count: 1.000000000001398), so the sum is capped at 1.
     q = 1.0 - p
 
     def logpmf(k):
@@ -158,7 +175,7 @@ def _band_probability_float(n, p, lo, hi):
     for k in range(km - 1, lo - 1, -1):
         term *= (k + 1) / (n - k) * (q / p)
         add(term)
-    return total + comp
+    return min(1.0, total + comp)
 
 
 def stirling_log_factorial(x: float) -> float:
@@ -378,7 +395,7 @@ def sample_size(p, c, alpha) -> int:
     the scan walks upward from n = 1; the Gaussian-limit estimate
     (z_{1-alpha/2} / (2c))^2-style seed only scales the progress ceiling.
     Each n costs one exact band sum by the shared recurrence kernel
-    (one math.comb, then big-by-small integer steps over the band).
+    (one binomial coefficient, then big-by-small integer steps over the band).
     """
     p = Fraction(p)
     c = Fraction(c)

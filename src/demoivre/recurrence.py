@@ -284,7 +284,11 @@ def demoivre_power(theta: float, n: int):
     The power is taken by binary powering of cmath.exp(1j*theta), conjugated
     for negative n, in at most 2*log2|n| complex products.  The two routes
     must agree within `_power_tolerance` or an internal-consistency error is
-    raised.  theta and n*theta must be finite.
+    raised.  theta and n*theta must be finite, and the tolerance below 1:
+    from |n*theta| ~ 2.2e15 the rounded angle may be off by a radian, and
+    from |n| ~ 1.5e15 the powered route may be, so the check could no
+    longer object and a ValueError naming n*theta is raised instead of an
+    unchecked value.
     """
     if not math.isfinite(theta):
         raise ValueError(f"angle theta must be finite, got {theta!r}")
@@ -294,6 +298,12 @@ def demoivre_power(theta: float, n: int):
         raise ValueError(f"angle n*theta must be finite, got n of {n.bit_length()} bits") from None
     if not math.isfinite(angle):
         raise ValueError(f"angle n*theta must be finite, got {angle!r}")
+    tolerance = _power_tolerance(angle, n)
+    if tolerance >= 1:
+        raise ValueError(
+            f"n*theta = {angle!r} with n = {float(n):.3g} is past what double precision can check: "
+            f"the error bound of the two routes is {tolerance:.3g}, not below 1"
+        )
     direct = (math.cos(angle), math.sin(angle))
     square = cmath.exp(1j * theta)
     if n < 0:
@@ -306,7 +316,6 @@ def demoivre_power(theta: float, n: int):
         k >>= 1
         if k:
             square *= square
-    tolerance = _power_tolerance(angle, n)
     if abs(power.real - direct[0]) > tolerance or abs(power.imag - direct[1]) > tolerance:
         raise ArithmeticError("multiple-angle and binary-power routes disagree")
     return direct
@@ -333,10 +342,12 @@ def _power_tolerance(angle: float, n: int) -> float:
       differs from 1 by up to eps; only ~2*log2|n| of the roundings are made,
       but the early squarings' errors are raised to high powers.
 
-    Past |n| ~ 2.3e15 the bound exceeds 2 and the check constrains nothing;
-    the direct route's value is still returned, though its argument error
-    eps*|n*theta| may by then pass 2*pi.  Past |n| ~ 1.5e18, where expm1
-    would overflow, the bound is infinite.
+    The bound reaches 1 at |n| ~ 1.47e15 (the powered term alone) or
+    |n*theta| ~ 2.25e15 (the direct term alone), and demoivre_power refuses
+    from there: past |n| ~ 2.3e15 the bound exceeds 2 and would constrain
+    nothing, and the direct route's argument error eps*|n*theta| may pass
+    2*pi.  Past |n| ~ 1.5e18, where expm1 would overflow, the bound is
+    infinite.
     """
     eps = sys.float_info.epsilon
     drift = (1 + math.sqrt(5) / 2) * abs(n) * eps

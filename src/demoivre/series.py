@@ -6,6 +6,13 @@ Raising to a power goes through the multinomial rule -- each output
 coefficient is assembled from exponent multisets and their permutation
 counts -- and is required to agree with plain repeated multiplication,
 which the tests exercise as an independent oracle.
+
+When every coefficient is an int or a Fraction, the exact route clears
+denominators once (integer numerators over one common denominator), runs
+the loops on Python ints and builds one Fraction per output coefficient,
+so no gcd is taken inside a loop.  Its Fractions equal those the loops
+give on Fractions.  Any other series (floats, the --real mode) takes the
+same loops on its own values, with the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -57,19 +64,43 @@ def series_from_reals(values) -> PowerSeries:
     return PowerSeries(tuple(float(v) for v in values))
 
 
-def multiply_series(f: PowerSeries, g: PowerSeries, order: int) -> PowerSeries:
-    """Product f*g truncated at the given degree."""
-    zero = _zero_like(f.coefficients[0])
+def _is_exact(*coefficient_lists) -> bool:
+    """True when every coefficient is an int or a Fraction: the exact route."""
+    return all(isinstance(c, (int, Fraction)) for cs in coefficient_lists for c in cs)
+
+
+def _clear_denominators(coefficients):
+    """Integer numerators over one common denominator D, and D."""
+    den = math.lcm(*(c.denominator for c in coefficients))
+    return [c.numerator * (den // c.denominator) for c in coefficients], den
+
+
+def _over(numerators, den) -> PowerSeries:
+    """The series of numerators / den: one Fraction per coefficient."""
+    return PowerSeries(tuple(Fraction(n, den) for n in numerators))
+
+
+def _products(f, g, order: int, zero) -> list:
+    """Coefficients of f*g through degree `order`, summed onto `zero`."""
     out = [zero] * order
-    for i, a in enumerate(f.coefficients, start=1):
+    for i, a in enumerate(f, start=1):
         if i >= order:
             break
-        for j, b in enumerate(g.coefficients, start=1):
+        for j, b in enumerate(g, start=1):
             d = i + j
             if d > order:
                 break
             out[d - 1] += a * b
-    return PowerSeries(tuple(out))
+    return out
+
+
+def multiply_series(f: PowerSeries, g: PowerSeries, order: int) -> PowerSeries:
+    """Product f*g truncated at the given degree."""
+    if _is_exact(f.coefficients, g.coefficients):
+        (fn, fd), (gn, gd) = _clear_denominators(f.coefficients), _clear_denominators(g.coefficients)
+        return _over(_products(fn, gn, order, 0), fd * gd)
+    zero = _zero_like(f.coefficients[0])
+    return PowerSeries(tuple(_products(f.coefficients, g.coefficients, order, zero)))
 
 
 def multinomial_coefficient_terms(m: int, p: int):
@@ -79,39 +110,49 @@ def multinomial_coefficient_terms(m: int, p: int):
     tuple of p positive integers summing to m, and count is the number of
     distinct orderings p!/(prod of multiplicity factorials).  Empty when
     m < p (no decomposition: every factor contributes degree >= 1).
+
+    The tuples are generated in ascending lexicographic order, each part
+    at least the one before it, and the count is carried along: placing
+    the k-th part, which makes a run of r equal parts, multiplies the
+    count of the first k - 1 parts by k / r, and every such prefix count
+    is itself a multinomial coefficient, so the division is exact.
     """
     if p < 1:
         raise ValueError("power must be >= 1")
     if m < p:
         return []
     out = []
+    parts = [0] * p
 
-    def descend(remaining, parts_left, max_part, acc):
-        if parts_left == 0:
-            if remaining == 0:
-                out.append(tuple(reversed(acc)))
+    def place(k, least, remaining, count, run):
+        # parts[:k] are placed; parts[k:] are each >= least and sum to remaining
+        left = p - k
+        if left == 1:
+            parts[k] = remaining
+            run = run + 1 if remaining == least else 1
+            out.append((tuple(parts), count * p // run))
             return
-        # each remaining part is at least 1 and at most max_part
-        lo = max(1, remaining - max_part * (parts_left - 1))
-        hi = min(max_part, remaining - (parts_left - 1))
-        for part in range(hi, lo - 1, -1):
-            descend(remaining - part, parts_left - 1, part, acc + [part])
+        for part in range(least, remaining // left + 1):
+            parts[k] = part
+            r = run + 1 if part == least else 1
+            place(k + 1, part, remaining - part, count * (k + 1) // r, r)
 
-    descend(m, p, m, [])
-    results = []
-    for exponents in sorted(out):
-        count = math.factorial(p)
-        for mult in _multiplicities(exponents).values():
-            count //= math.factorial(mult)
-        results.append((exponents, count))
-    return results
+    place(0, 1, m, 1, 0)
+    return out
 
 
-def _multiplicities(values):
-    mult = {}
-    for v in values:
-        mult[v] = mult.get(v, 0) + 1
-    return mult
+def _multinomial_sums(c, p: int, order: int, zero) -> list:
+    """Degree-m coefficients of s^p by the multinomial rule; c[e] = a_e."""
+    out = [zero] * order
+    for m in range(p, order + 1):
+        total = zero
+        for exponents, count in multinomial_coefficient_terms(m, p):
+            prod = count
+            for e in exponents:
+                prod = prod * c[e]
+            total += prod
+        out[m - 1] = total
+    return out
 
 
 def raise_series(s: PowerSeries, p: int, order: int) -> PowerSeries:
@@ -124,36 +165,48 @@ def raise_series(s: PowerSeries, p: int, order: int) -> PowerSeries:
         raise ValueError("power must be >= 1")
     if order < 1:
         raise ValueError("order must be >= 1")
-    zero = _zero_like(s.coefficients[0])
+    # c[e] = a_e, and 0 past the truncation order, as s.coefficient(e) gives
+    pad = [0] * (order - s.order)
+    if _is_exact(s.coefficients):
+        numerators, den = _clear_denominators(s.coefficients[:order])
+        return _over(_multinomial_sums([0, *numerators, *pad], p, order, 0), den**p)
+    c = [0, *s.coefficients, *pad]
+    return PowerSeries(tuple(_multinomial_sums(c, p, order, _zero_like(s.coefficients[0]))))
+
+
+def _composition(f, g, order: int, zero, g_zero) -> list:
+    """Coefficients of f(g) through degree `order`: sum of f_j times g^j.
+
+    Each g^j is the product of g^(j-1) and g, taken by _products from the
+    g_zero of g's own type, as multiply_series would.
+    """
     out = [zero] * order
-    for m in range(p, order + 1):
-        total = zero
-        for exponents, count in multinomial_coefficient_terms(m, p):
-            prod = count
-            for e in exponents:
-                prod = prod * s.coefficient(e)
-            total += prod
-        out[m - 1] = total
-    return PowerSeries(tuple(out))
+    g_pow = [*g[:order], *[g_zero] * (order - len(g))]
+    for j in range(1, order + 1):
+        fj = f[j - 1] if j <= len(f) else 0
+        if fj != 0:
+            for d in range(order):
+                out[d] += fj * g_pow[d]
+        if j < order:
+            g_pow = _products(g_pow, g, order, g_zero)
+    return out
 
 
 def compose_series(f: PowerSeries, g: PowerSeries, order: int) -> PowerSeries:
     """f(g(x)) truncated at the given degree.
 
     g has no constant term by construction, so powers of g start at ever
-    higher degrees and the sum below is finite.
+    higher degrees and the sum below is finite.  On the exact route, with
+    f = F/D and g = G/E over integers, E^j g^j = G^j is integral, so f_j g^j
+    is F_j E^(order - j) G^j over the one denominator D E^order.
     """
-    zero = _zero_like(f.coefficients[0])
-    out = [zero] * order
-    g_pow = g.truncate(order)
-    for j in range(1, order + 1):
-        fj = f.coefficient(j)
-        if fj != 0:
-            for d in range(1, order + 1):
-                out[d - 1] += fj * g_pow.coefficient(d)
-        if j < order:
-            g_pow = multiply_series(g_pow, g, order)
-    return PowerSeries(tuple(out))
+    if _is_exact(f.coefficients, g.coefficients):
+        fn, fd = _clear_denominators(f.coefficients[:order])
+        gn, gd = _clear_denominators(g.coefficients[:order])
+        scaled = [fj * gd ** (order - j) for j, fj in enumerate(fn, start=1)]
+        return _over(_composition(scaled, gn, order, 0, 0), fd * gd**order)
+    zero, g_zero = _zero_like(f.coefficients[0]), _zero_like(g.coefficients[0])
+    return PowerSeries(tuple(_composition(f.coefficients, g.coefficients, order, zero, g_zero)))
 
 
 def revert_series(s: PowerSeries, order: int) -> PowerSeries:
@@ -170,11 +223,17 @@ def revert_series(s: PowerSeries, order: int) -> PowerSeries:
     Each entry sums the same products in the same ascending order as
     multiply_series and compose_series, zero terms included, so float
     results keep every bit.  (Lagrange inversion would need fewer products
-    but rounds differently.)
+    but rounds differently.)  Exact series take the same rows in integers,
+    see _revert_integers.
     """
     a1 = s.coefficient(1)
     if a1 == 0:
         raise ValueError("series with zero linear coefficient is not invertible")
+    if _is_exact(s.coefficients):
+        numerators, den = _clear_denominators(s.coefficients[: max(order, 1)])
+        a = numerators[0]
+        scaled = _revert_integers(numerators, order)
+        return PowerSeries(tuple(Fraction(bm * den**m, a ** (2 * m - 1)) for m, bm in enumerate(scaled, 1)))
     one = 1.0 if isinstance(a1, float) else Fraction(1)
     zero = _zero_like(a1)
     b = [one / a1]
@@ -196,6 +255,35 @@ def revert_series(s: PowerSeries, order: int) -> PowerSeries:
                 residual += aj * row[m - 1]
         b.append(-residual / a1)
     return PowerSeries(tuple(b))
+
+
+def _revert_integers(S, order: int) -> list:
+    """B_m = T_m * A^(2m - 1), m = 1..order, for the reversion T of S.
+
+    S = S_1 x + S_2 x^2 + ... has integer coefficients and A = S_1 != 0.
+    The scaled powers R_j[d] = [x^d] T^j * A^(2d - j) are integers and obey
+    the reversion's own row recurrence, R_j[d] = sum_i R_(j-1)[i] B_(d-i)
+    (the powers of A add up: (2i - j + 1) + (2(d - i) - 1) = 2d - j), and
+    the degree-m equation S_1 T_m + sum_(j >= 2) S_j [x^m] T^j = 0, times
+    A^(2m - 2), reads B_m = -sum_(j >= 2) S_j R_j[m] A^(j - 2).  So no
+    division is made until the end: for s = S/D the reversion is
+    t(x) = T(D x), whose b_m = B_m D^m / A^(2m - 1).
+    """
+    a = S[0]
+    B = [1]  # B_1 = T_1 * A = 1
+    rows = [B]  # rows[j - 1][d - 1] = R_j[d]; R_1 = B, and R_j[d] = 0 for d < j
+    a_pow = [1]  # a_pow[j - 2] = A^(j - 2)
+    for m in range(2, order + 1):
+        rows.append([0] * (m - 1))
+        a_pow.append(a_pow[-1] * a)
+        total = 0
+        for j in range(2, m + 1):
+            lower = rows[j - 2]  # R_(j-1), already extended to degree m unless it is B
+            rows[j - 1].append(sum(lower[i - 1] * B[m - i - 1] for i in range(j - 1, m)))
+            if j <= len(S) and S[j - 1]:
+                total += S[j - 1] * rows[j - 1][m - 1] * a_pow[j - 2]
+        B.append(-total)
+    return B
 
 
 def identity_series(order: int, real: bool = False) -> PowerSeries:

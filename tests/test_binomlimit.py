@@ -128,6 +128,46 @@ def test_float_p_is_taken_as_its_decimal():
             TrialSpec(10, p)
 
 
+def test_band_keeps_an_endpoint_on_the_edge_for_rational_p():
+    # n*p = 825 and c*sqrt(n)/2 = 55 exactly; the float mean 824.99999999999989 dropped k = 880
+    spec = TrialSpec(3025, Fraction(3, 11))
+    assert band_bounds(spec, 2) == (770, 880)
+    assert exact_central_probability(spec, 2) == termwise_band_mass(3025, Fraction(3, 11), 770, 880)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 39).flatmap(lambda d: st.tuples(st.integers(1, d - 1), st.just(d))),
+    st.integers(1, 64),
+    st.integers(1, 8),
+)
+@example((3, 11), 55, 4)
+@example((13, 24), 60, 2)  # these three lost an endpoint to the float mean
+@example((14, 25), 25, 4)
+@example((11, 18), 54, 4)
+def test_band_bounds_are_the_exact_ceil_and_floor(p, root, halves):
+    a, d = p
+    n = root * root
+    # c = halves/2, so |k - n*a/d| <= c*root/2 reads |4*d*k - 4*n*a| <= halves*root*d in integers
+    lo = max(0, -((halves * root * d - 4 * n * a) // (4 * d)))
+    hi = min(n, (4 * n * a + halves * root * d) // (4 * d))
+    assert band_bounds(TrialSpec(n, Fraction(a, d)), halves / 2) == (lo, hi)
+
+
+def test_band_with_overflowing_half_width_takes_every_count():
+    # c*sqrt(n)/2 is inf for a finite c: the band is every count, not a float-to-int error
+    spec = TrialSpec(100, HALF)
+    assert band_bounds(spec, 1e308) == (0, 100)
+    assert exact_central_probability(spec, 1e308) == 1
+    assert band_bounds(TrialSpec(5000, HALF), 1e308) == (0, 5000)
+
+
+def test_float_band_stays_at_most_one():
+    # the lgamma-anchored sum of the whole row at n = 5000 is 1.000000000001398 uncapped
+    for c in (1000, 1e308):
+        assert exact_central_probability(TrialSpec(5000, HALF), c) == 1.0
+
+
 def test_large_band_near_limit():
     value = float(exact_central_probability(TrialSpec(3600, HALF), 1))
     assert abs(value - 0.6827) < 0.01

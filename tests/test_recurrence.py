@@ -378,10 +378,34 @@ def test_demoivre_power_rejects_n_beyond_float_range(theta, n):
 
 
 def test_demoivre_power_past_the_tolerance_range():
-    # (1 + sqrt(5)/2)|n| eps overflows expm1 here; the bound is then infinite, not an OverflowError
+    # (1 + sqrt(5)/2)|n| eps overflows expm1 here; the bound is then infinite, not an
+    # OverflowError, and the call is refused as past what the check can see
     for theta, n in ((1e-300, 10**300), (1e-10, 10**19), (0.0, 10**308)):
-        angle = n * theta
-        assert demoivre_power(theta, n) == (math.cos(angle), math.sin(angle))
+        assert _power_tolerance(n * theta, n) == math.inf
+        with pytest.raises(ValueError, match=r"n\*theta = .* is past what double precision can check"):
+            demoivre_power(theta, n)
+
+
+@pytest.mark.parametrize(
+    "theta, n",
+    [
+        (1e300, 100),  # cos and sin of the rounded 1e302 say nothing of cos(100 theta)
+        (1e6, 2_252_000_000),  # the direct term alone reaches 1
+        (1e-20, 1_474_000_000_000_000),  # the powered term alone reaches 1
+        (-1.0, -(10**16)),
+    ],
+)
+def test_demoivre_power_refuses_once_the_bound_reaches_one(theta, n):
+    assert _power_tolerance(n * theta, n) >= 1
+    with pytest.raises(ValueError, match=r"n\*theta = .* not below 1"):
+        demoivre_power(theta, n)
+
+
+@pytest.mark.parametrize("theta, n", [(1e6, 2_251_000_000), (1e-20, 1_473_000_000_000_000)])
+def test_demoivre_power_still_answers_just_below_the_bound(theta, n):
+    angle = n * theta
+    assert _power_tolerance(angle, n) < 1
+    assert demoivre_power(theta, n) == (math.cos(angle), math.sin(angle))
 
 
 def test_demoivre_power_examples():
@@ -437,8 +461,14 @@ def binary_power(theta, n):
 @example(-1.1, -(10**18))
 @example(5e-324, 10**18)
 @example(0.0, 0)
+@example(1.1, 5 * 10**14)  # still checked: the bound is ~0.51
+@example(-3.0, -(4 * 10**14))
 def test_demoivre_power_returns_direct_route_up_to_huge_n(theta, n):
     angle = n * theta
+    if _power_tolerance(angle, n) >= 1:  # |n| past ~1.5e15 or |n*theta| past ~2.2e15
+        with pytest.raises(ValueError, match=r"n\*theta = "):
+            demoivre_power(theta, n)
+        return
     assert demoivre_power(theta, n) == (math.cos(angle), math.sin(angle))
     power = binary_power(theta, n)
     tolerance = _power_tolerance(angle, n)
@@ -476,7 +506,18 @@ def test_demoivre_power_rejects_infinite_multiple_angle():
 @pytest.mark.parametrize("n", ["10000000", "-10000000", "1000000000000000000"])
 def test_factor_power_cli_at_large_n(n):
     code, out, err = cli.dispatch(["factor", "power", "--theta", "1.1", "--n", n])
+    if abs(int(n)) > 10**15:  # 10^18: the error bound is far past 1, so the call exits 3
+        assert (code, out) == (3, "")
+        assert err.startswith("error: n*theta = 1.1000000000000001e+18 with n = 1e+18 is past what")
+        return
     assert (code, err) == (0, "")
     record = json.loads(out)
     angle = int(n) * 1.1
     assert record["result"] == {"cos": format(math.cos(angle), ".17g"), "sin": format(math.sin(angle), ".17g")}
+
+
+def test_factor_power_cli_refuses_an_unresolvable_angle():
+    # cos and sin of the rounded 1e302 would be an unchecked value
+    code, out, err = cli.dispatch(["factor", "power", "--theta", "1e300", "--n", "100"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: n*theta = 1e+302 with n = 100 is past what double precision can check")

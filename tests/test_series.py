@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,118 @@ from demoivre.series import (
     series_from_rationals,
     series_from_reals,
 )
+
+
+def zero_like(sample):
+    return 0.0 if isinstance(sample, float) else Fraction(0)
+
+
+# The series kernels as they were before the exact route: every product and
+# sum on the coefficients themselves, Fractions included.  Kept as the
+# oracles that the exact route (same Fractions) and the float loops (same
+# bits) are checked against.
+
+
+def multiply_oracle(f, g, order):
+    zero = zero_like(f.coefficients[0])
+    out = [zero] * order
+    for i, a in enumerate(f.coefficients, start=1):
+        if i >= order:
+            break
+        for j, b in enumerate(g.coefficients, start=1):
+            d = i + j
+            if d > order:
+                break
+            out[d - 1] += a * b
+    return PowerSeries(tuple(out))
+
+
+def multinomial_oracle(m, p):
+    if p < 1:
+        raise ValueError("power must be >= 1")
+    if m < p:
+        return []
+    out = []
+
+    def descend(remaining, parts_left, max_part, acc):
+        if parts_left == 0:
+            if remaining == 0:
+                out.append(tuple(reversed(acc)))
+            return
+        lo = max(1, remaining - max_part * (parts_left - 1))
+        hi = min(max_part, remaining - (parts_left - 1))
+        for part in range(hi, lo - 1, -1):
+            descend(remaining - part, parts_left - 1, part, acc + [part])
+
+    descend(m, p, m, [])
+    results = []
+    for exponents in sorted(out):
+        count = math.factorial(p)
+        mult = {}
+        for v in exponents:
+            mult[v] = mult.get(v, 0) + 1
+        for k in mult.values():
+            count //= math.factorial(k)
+        results.append((exponents, count))
+    return results
+
+
+def raise_oracle(s, p, order):
+    if p < 1:
+        raise ValueError("power must be >= 1")
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    zero = zero_like(s.coefficients[0])
+    out = [zero] * order
+    for m in range(p, order + 1):
+        total = zero
+        for exponents, count in multinomial_oracle(m, p):
+            prod = count
+            for e in exponents:
+                prod = prod * s.coefficient(e)
+            total += prod
+        out[m - 1] = total
+    return PowerSeries(tuple(out))
+
+
+def compose_oracle(f, g, order):
+    zero = zero_like(f.coefficients[0])
+    out = [zero] * order
+    g_pow = g.truncate(order)
+    for j in range(1, order + 1):
+        fj = f.coefficient(j)
+        if fj != 0:
+            for d in range(1, order + 1):
+                out[d - 1] += fj * g_pow.coefficient(d)
+        if j < order:
+            g_pow = multiply_oracle(g_pow, g, order)
+    return PowerSeries(tuple(out))
+
+
+def revert_oracle(s, order):
+    a1 = s.coefficient(1)
+    if a1 == 0:
+        raise ValueError("series with zero linear coefficient is not invertible")
+    one = 1.0 if isinstance(a1, float) else Fraction(1)
+    zero = zero_like(a1)
+    b = [one / a1]
+    powers = [b]
+    for m in range(2, order + 1):
+        powers.append([])
+        residual = zero + a1 * zero
+        for j in range(2, m + 1):
+            row, lower = powers[j - 1], powers[j - 2]
+            while len(row) < m:
+                d = len(row) + 1
+                entry = zero
+                for i in range(1, d):
+                    entry += lower[i - 1] * b[d - i - 1]
+                row.append(entry)
+            aj = s.coefficient(j)
+            if aj != 0:
+                residual += aj * row[m - 1]
+        b.append(-residual / a1)
+    return PowerSeries(tuple(b))
 
 
 def repeated_multiplication(s, p, order):
@@ -208,3 +321,82 @@ def test_revert_matches_composition_route_bit_for_bit(s, order):
             revert_series(s, order)
         return
     assert bits(revert_series(s, order)) == expected
+
+
+def outcome(kernel, *args):
+    """The result with each coefficient's type, floats by their hex form; or the error."""
+    try:
+        result = kernel(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return tuple((type(c), c.hex() if isinstance(c, float) else c) for c in result.coefficients)
+
+
+exact_coefficients = st.one_of(
+    st.just(0),
+    st.just(Fraction(0)),
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+exact_series = st.lists(exact_coefficients, min_size=1, max_size=10).map(PowerSeries)
+real_coefficients = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 1e300, -1e300, 5e-324]),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(allow_nan=False),
+)
+real_series = st.lists(real_coefficients, min_size=1, max_size=10).map(PowerSeries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(exact_series, real_series), st.one_of(exact_series, real_series), st.integers(1, 12))
+@example(PowerSeries((3, Fraction(1, 2))), PowerSeries((Fraction(-2, 7), 0, 5)), 12)  # order past both lengths
+@example(PowerSeries((0, 1)), PowerSeries((0, 0, 1)), 6)  # zero linear terms
+@example(PowerSeries((Fraction(1, 3), 0.5)), PowerSeries((2, -0.0)), 5)  # mixed: the loops on the values
+@example(PowerSeries((1e200, -1e200)), PowerSeries((1e200, 1.0)), 6)  # overflow to inf, then inf - inf
+@example(PowerSeries((-0.0,)), PowerSeries((-0.0, 0.0)), 4)
+def test_multiply_and_compose_match_the_oracles(f, g, order):
+    assert outcome(multiply_series, f, g, order) == outcome(multiply_oracle, f, g, order)
+    assert outcome(compose_series, f, g, order) == outcome(compose_oracle, f, g, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(exact_series, real_series), st.integers(1, 6), st.integers(1, 12))
+@example(PowerSeries((Fraction(5, 12), 0, Fraction(-7, 11))), 5, 12)
+@example(PowerSeries((2, 3)), 3, 2)  # order below the power: all zero
+@example(PowerSeries((Fraction(1, 3), 0.5)), 1, 4)  # mixed: past the input, Fraction(0) + 0 stays a Fraction
+@example(PowerSeries((-0.0, 1e300)), 3, 7)  # signed zeros, overflow
+@example(PowerSeries((math.inf, 0.0)), 2, 4)  # inf * 0 is nan
+def test_raise_matches_the_oracle(s, p, order):
+    assert outcome(raise_series, s, p, order) == outcome(raise_oracle, s, p, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(exact_series, real_series), st.integers(1, 14))
+@example(PowerSeries((Fraction(-3, 4), Fraction(5, 6), 0, 2)), 14)  # negative a_1, order above the length
+@example(PowerSeries((0, Fraction(1, 2))), 4)  # not invertible: the same ValueError
+@example(PowerSeries((Fraction(0), 1)), 4)
+@example(PowerSeries((7,)), 1)
+@example(PowerSeries((-0.0, 1.0)), 4)  # -0.0 == 0: not invertible either
+@example(PowerSeries((1e-300, 1.0)), 5)  # overflow
+def test_revert_matches_the_oracle(s, order):
+    assert outcome(revert_series, s, order) == outcome(revert_oracle, s, order)
+
+
+def test_multinomial_terms_match_the_oracle():
+    for p in range(0, 8):
+        for m in range(0, 21):
+            try:
+                expected = multinomial_oracle(m, p)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    multinomial_coefficient_terms(m, p)
+                continue
+            assert multinomial_coefficient_terms(m, p) == expected
+
+
+def test_exact_route_at_the_benchmark_sizes():
+    base, inner = (1, 1, 2, -1, 3), (Fraction(1, 2), -1, Fraction(1, 3), 2)
+    s, g = series_from_rationals(base), PowerSeries(inner)
+    assert outcome(revert_series, s, 15) == outcome(revert_oracle, s, 15)
+    assert outcome(raise_series, g, 5, 20) == outcome(raise_oracle, g, 5, 20)
+    assert outcome(compose_series, s, g, 20) == outcome(compose_oracle, s, g, 20)
