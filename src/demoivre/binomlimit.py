@@ -21,7 +21,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from statistics import NormalDist
 
 from .exactnum import binomial_coefficient
 
@@ -58,21 +57,6 @@ class TrialSpec:
             object.__setattr__(self, "p", Fraction(repr(float(self.p))))
 
 
-@dataclass(frozen=True)
-class CentralBand:
-    """Half-width multiplier c and the implied band half-width c*sqrt(n)/2."""
-
-    c: float
-    half_width: float
-
-    def __post_init__(self):
-        _check_multiplier(self.c)
-
-    @classmethod
-    def for_trials(cls, c: float, n: int) -> "CentralBand":
-        return cls(c=float(c), half_width=float(c) * math.sqrt(n) / 2)
-
-
 def _check_multiplier(c) -> None:
     if not math.isfinite(c):
         raise ValueError(f"band multiplier c must be finite, got {c!r}")
@@ -88,11 +72,13 @@ def band_bounds(spec: TrialSpec, c: float):
     band's edge (n = 3025, p = 3/11, c = 2: n*p = 825, half-width 55).
     A finite c whose half-width overflows to inf takes every count.
     """
-    band = CentralBand.for_trials(c, spec.n)
-    if math.isinf(band.half_width):
+    c = float(c)
+    _check_multiplier(c)
+    half_width = c * math.sqrt(spec.n) / 2
+    if math.isinf(half_width):
         return 0, spec.n
     mu = spec.n * Fraction(spec.p)
-    half_width = Fraction(band.half_width)
+    half_width = Fraction(half_width)
     lo = max(0, math.ceil(mu - half_width))
     hi = min(spec.n, math.floor(mu + half_width))
     return lo, hi
@@ -392,10 +378,12 @@ def sample_size(p, c, alpha) -> int:
 
     The exact band probability saws back and forth in n (e.g. at p = 1/2,
     c = 0.05, alpha = 0.05 the satisfying set has holes up to n = 398), so
-    the scan walks upward from n = 1; the Gaussian-limit estimate
-    (z_{1-alpha/2} / (2c))^2-style seed only scales the progress ceiling.
-    Each n costs one exact band sum by the shared recurrence kernel
-    (one binomial coefficient, then big-by-small integer steps over the band).
+    the scan walks upward from n = 1 until the band holds 1 - alpha.  It
+    always stops: by Bernoulli's theorem the band probability tends to 1
+    as n grows, and once c >= max(p, 1 - p) every count is in the band,
+    so n = 1.  Each n costs one exact band sum by the shared recurrence
+    kernel (one binomial coefficient, then big-by-small integer steps over
+    the band).
     """
     p = Fraction(p)
     c = Fraction(c)
@@ -407,21 +395,10 @@ def sample_size(p, c, alpha) -> int:
     if not 0 < alpha < 1:
         raise ValueError("risk alpha must lie strictly in (0, 1)")
     target = 1 - alpha
-    guard = 100 * gaussian_sample_size_estimate(p, c, alpha) + 1_000_000
     n = 1
-    while True:
-        if _band_probability_exact_frequency(n, p, c) >= target:
-            return n
+    while _band_probability_exact_frequency(n, p, c) < target:
         n += 1
-        if n > guard:
-            raise ArithmeticError("scan ran far past the Gaussian-limit scale; inputs inconsistent")
-
-
-def gaussian_sample_size_estimate(p, c, alpha) -> float:
-    """Normal-limit seed (z_{1-alpha/2})^2 p(1-p)/c^2 for the exact scan's scale."""
-    tail = float(alpha) / 2
-    z = -NormalDist().inv_cdf(tail) if tail > 0 else math.inf
-    return z * z * float(p) * (1 - float(p)) / float(c) ** 2
+    return n
 
 
 def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int, workers: int | None = None) -> float:

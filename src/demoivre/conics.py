@@ -8,10 +8,16 @@ the focus (+c, 0): FM the focal radius, FP the perpendicular from the
 focus to the tangent, R the radius of curvature ("diameter of the
 evolute" read as the curvature radius).  Along one orbit, force * FM^2 is
 constant -- the inverse-square consequence in its directly testable form.
+
+The four public operations return finite values or raise a ValueError
+naming a and b, for an ellipse whose figures leave the double range (a^3
+past 1e308, or a curvature radius that underflows to 0).  Only the result
+is checked, so finite results keep every bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,10 +52,28 @@ def _check_angle(theta: float) -> None:
         raise ValueError(f"angle theta must be finite, got {theta!r}")
 
 
+def _finite(op):
+    """op(e, arg), refused with a ValueError naming a and b unless every value is finite."""
+
+    @functools.wraps(op)
+    def checked(e: Ellipse, arg):
+        try:
+            result = op(e, arg)
+        except (OverflowError, ZeroDivisionError):
+            pass
+        else:
+            if all(map(math.isfinite, result if isinstance(result, tuple) else (result,))):
+                return result
+        raise ValueError(f"ellipse a = {e.a!r}, b = {e.b!r} is out of double range for {op.__name__}")
+
+    return checked
+
+
 def orbit_point(e: Ellipse, theta: float) -> OrbitPoint:
     return OrbitPoint(theta, (e.a * math.cos(theta), e.b * math.sin(theta)))
 
 
+@_finite
 def focal_product(e: Ellipse, theta: float):
     """(product of the two focal radii, squared parallel half-diameter).
 
@@ -70,9 +94,7 @@ def focal_product(e: Ellipse, theta: float):
     return product, halfdiam_sq
 
 
-def radius_of_curvature(e: Ellipse, theta: float) -> float:
-    """(a^2 sin^2 t + b^2 cos^2 t)^(3/2) / (a*b)."""
-    _check_angle(theta)
+def _curvature(e: Ellipse, theta: float) -> float:
     s, c = math.sin(theta), math.cos(theta)
     return (e.a * e.a * s * s + e.b * e.b * c * c) ** 1.5 / (e.a * e.b)
 
@@ -86,14 +108,26 @@ def _focal_radius_and_pedal(e: Ellipse, theta: float):
     return fm, fp
 
 
+def _force(e: Ellipse, theta: float) -> float:
+    fm, fp = _focal_radius_and_pedal(e, theta)
+    return fm / (_curvature(e, theta) * fp**3)
+
+
+@_finite
+def radius_of_curvature(e: Ellipse, theta: float) -> float:
+    """(a^2 sin^2 t + b^2 cos^2 t)^(3/2) / (a*b)."""
+    _check_angle(theta)
+    return _curvature(e, theta)
+
+
+@_finite
 def centripetal_force(e: Ellipse, theta: float) -> float:
     """FM / (R * FP^3), force centre at the focus (+c, 0)."""
     _check_angle(theta)
-    fm, fp = _focal_radius_and_pedal(e, theta)
-    r = radius_of_curvature(e, theta)
-    return fm / (r * fp**3)
+    return _force(e, theta)
 
 
+@_finite
 def inverse_square_constant(e: Ellipse, samples: int):
     """(mean of force*FM^2 on a uniform angle grid, max relative deviation)."""
     if samples < 3:
@@ -102,7 +136,7 @@ def inverse_square_constant(e: Ellipse, samples: int):
     for i in range(samples):
         theta = 2 * math.pi * i / samples
         fm, _ = _focal_radius_and_pedal(e, theta)
-        values.append(centripetal_force(e, theta) * fm * fm)
+        values.append(_force(e, theta) * fm * fm)
     mean = math.fsum(values) / samples
     deviation = max(abs(v - mean) for v in values) / abs(mean)
     return mean, deviation

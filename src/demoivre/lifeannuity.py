@@ -1,7 +1,10 @@
 """Life tables, the linear-mortality hypothesis, and curtate annuity pricing.
 
 Payments fall due at year end and the payment for the year of death is
-forfeited (curtate annuity-immediate).  Single-life, joint-life and
+forfeited (curtate annuity-immediate).  A mortality model is either a
+LifeTable or a DeMoivreLaw, the linear law over the complement of life:
+the two models De Moivre priced with.  Either gives a run of positive
+survivor counts down to the last survivor.  Single-life, joint-life and
 error-table prices share one kernel, _present_values: it walks a run of
 survivors l_x, l_{x+1}, ... backwards in exact integers -- survivor counts
 and the discount factor convert exactly -- and yields the price at every
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from itertools import chain, takewhile
 from operator import mul
 
 MATY_CSV = "maty_breslau.csv"
@@ -178,7 +180,7 @@ def write_table_csv(table: LifeTable, handle):
 
 
 def survival_probability(model, x: int, t: int) -> Fraction:
-    """P(a life aged x survives t more years) under a table, law, or duck-typed model."""
+    """P(a life aged x survives t more years) under a LifeTable or a DeMoivreLaw."""
     if t < 0:
         raise MortalityDomainError("horizon t must be non-negative")
     if isinstance(model, LifeTable):
@@ -198,43 +200,26 @@ def survival_probability(model, x: int, t: int) -> Fraction:
         if t >= n:
             return Fraction(0)
         return Fraction(n - t, n)
-    if hasattr(model, "survival_probability"):
-        return Fraction(model.survival_probability(x, t))
     raise TypeError(f"unsupported mortality model {type(model).__name__}")
 
 
-def _support_horizon(model, x: int) -> int:
-    if isinstance(model, LifeTable):
-        return model.terminal_age - x
-    if isinstance(model, DeMoivreLaw):
-        return model.omega - x - 1
-    limit = getattr(model, "horizon", None)
-    if limit is None:
-        raise TypeError("custom models must expose a horizon(x) method")
-    return limit(x)
+def _survival_run(model, x: int):
+    """l_x, l_{x+1}, ... down to the last survivor, up to a common factor.
 
-
-def _survival_run(model, x: int, horizon: int):
-    """l_x, l_{x+1}, ..., l_{x+horizon} for a validated age, up to a common factor.
-
-    Tables and the law give survivor counts, so one run serves every age it
-    covers.  Other models are asked for survival probabilities lazily, one
-    term at a time and never past the horizon, with l_x = 1.
+    Every entry is positive: the table's own counts from age x, or the
+    law's n, n - 1, ..., 1 with n = omega - x.  One run serves every age
+    it covers.
     """
     if isinstance(model, LifeTable):
-        start = x - model.start_age
-        return model.survivors[start:start + horizon + 1]
-    if isinstance(model, DeMoivreLaw):
-        n = model.omega - x
-        return range(n, n - horizon - 1, -1)
-    return chain((1,), (survival_probability(model, x, t) for t in range(1, horizon + 1)))
+        return model.survivors[x - model.start_age:]
+    return range(model.omega - x, 0, -1)
 
 
 def _present_values(run, v: Fraction):
     """Exact curtate annuity prices at every age of a survival run.
 
-    run holds l_x, l_{x+1}, ..., l_{x+n} (ints, Fractions or floats, none
-    zero).  Entry k of the result is a pair of ints (R, D) with
+    run holds l_x, l_{x+1}, ..., l_{x+n} (ints and Fractions, none zero).
+    Entry k of the result is a pair of ints (R, D) with
     R / D = sum over t >= 1 of v^t * l_{x+k+t} / l_{x+k}.  One lcm clears
     the run's denominators and v = P/Q, so the walk runs backwards in
     integers: R_k = P * (R_{k+1} + D_{k+1}), D_k = Q^(n-k) * l_{x+k}.
@@ -259,9 +244,7 @@ def _present_values(run, v: Fraction):
 def annuity_value(model, x: int, rate: RateSpec) -> float:
     """Curtate annuity-immediate price: sum over t >= 1 of v^t * survival(x, t)."""
     survival_probability(model, x, 0)  # age validation
-    v = rate.v
-    run = takewhile(bool, _survival_run(model, x, _support_horizon(model, x)))
-    r, d = _present_values(run, v)[0]
+    r, d = _present_values(_survival_run(model, x), rate.v)[0]
     return r / d
 
 
@@ -269,15 +252,13 @@ def joint_annuity_value(model_a, x: int, model_b, y: int, rate: RateSpec) -> flo
     """Joint-life price: pays while both lives survive, independence assumed."""
     survival_probability(model_a, x, 0)
     survival_probability(model_b, y, 0)
-    v = rate.v
-    # a custom model may report a negative horizon: then nothing is paid
-    horizon = max(min(_support_horizon(model_a, x), _support_horizon(model_b, y)), 0)
-    both = map(mul, _survival_run(model_a, x, horizon), _survival_run(model_b, y, horizon))
-    r, d = _present_values(takewhile(bool, both), v)[0]
+    # the product run ends with the shorter of the two lives' runs
+    both = map(mul, _survival_run(model_a, x), _survival_run(model_b, y))
+    r, d = _present_values(both, rate.v)[0]
     return r / d
 
 
-def approximation_error_table(table: LifeTable, ages, rates, omega: int = 86):
+def approximation_error_table(table: LifeTable, ages, rates):
     """Percentage by which the linear-law price exceeds the tabular price.
 
     Entries are 100*(law/table - 1) for each (age, rate); the law keeps
@@ -289,12 +270,12 @@ def approximation_error_table(table: LifeTable, ages, rates, omega: int = 86):
     """
     if not isinstance(table, LifeTable):
         raise TypeError(f"the error table needs a LifeTable, not {type(table).__name__}")
-    law = DeMoivreLaw(omega)
+    law = DeMoivreLaw()
     ages = tuple(ages)
-    law_from = min(ages, default=omega)
+    law_from = min(ages, default=law.omega)
     table_from = max(law_from, table.start_age)
-    law_run = _survival_run(law, law_from, _support_horizon(law, law_from))
-    table_run = _survival_run(table, table_from, _support_horizon(table, table_from))
+    law_run = _survival_run(law, law_from)
+    table_run = _survival_run(table, table_from)
     grid = []
     for rate in rates:
         v = RateSpec(rate).v

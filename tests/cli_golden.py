@@ -113,6 +113,9 @@ EDGE_INVOCATIONS = [
     ["conic", "force", "--a=nan", "--b", "1", "--theta", "0.5"],
     ["games", "tour", "--start", "z9"],
     ["games", "validate", "--squares", "a1 b3"],
+    ["conic", "force", "--a", "1e308", "--b", "0.5", "--theta", "0.5"],
+    # a tolerance past every float: every count is in the band at n = 1
+    ["binom", "sample-size", "--p", "1/3", "--c", "1e400", "--alpha", "1/3"],
     # usage errors and help
     [],
     ["nonsense"],

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from demoivre.binomlimit import (
     GAUSS_CUTOFF,
     MAX_WORKERS,
-    CentralBand,
     TrialSpec,
     _band_mass,
     _band_probability_exact_frequency,
@@ -17,7 +16,6 @@ from demoivre.binomlimit import (
     band_bounds,
     demoivre_term,
     exact_central_probability,
-    gaussian_sample_size_estimate,
     limit_central_probability,
     limit_tail_probability,
     remark1_fraction,
@@ -334,6 +332,8 @@ def scan_smallest_sample_size(p, c, alpha, limit=10_000):
 
 def test_sample_size_trivial_single_trial():
     assert sample_size(HALF, HALF, Fraction(1, 2)) == 1
+    # c >= max(p, 1 - p) puts every count in the band; c is never made a float
+    assert sample_size(Fraction(1, 3), Fraction("1e400"), Fraction(1, 3)) == 1
 
 
 def test_sample_size_matches_scan_oracle():
@@ -369,11 +369,6 @@ def test_sample_size_crossing_property():
             assert _band_probability_exact_frequency(n - 1, p, c) < 1 - alpha
 
 
-def test_gaussian_estimate_scale():
-    est = gaussian_sample_size_estimate(0.5, 0.05, 0.05)
-    assert 300 < est < 500
-
-
 def test_simulate_band_trivial_cover():
     assert simulate_band(TrialSpec(1, HALF), 2.0, 50, seed=9) == 1.0
 
@@ -404,14 +399,14 @@ def test_trial_spec_and_band_validation():
         TrialSpec(0, HALF)
     with pytest.raises(ValueError):
         TrialSpec(10, Fraction(1))
-    with pytest.raises(ValueError):
-        CentralBand.for_trials(0, 100)
+    with pytest.raises(ValueError, match="band multiplier"):
+        band_bounds(TrialSpec(100), 0)
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
 def test_non_finite_band_multiplier_is_rejected(c):
     with pytest.raises(ValueError, match="band multiplier c"):
-        CentralBand.for_trials(c, 100)
+        band_bounds(TrialSpec(100), c)
     with pytest.raises(ValueError, match="band multiplier c"):
         exact_central_probability(TrialSpec(100, HALF), c)
     with pytest.raises(ValueError, match="band multiplier c"):

@@ -152,6 +152,40 @@ def test_non_finite_argument_exits_3(command, flag, message, value):
     assert message in err
 
 
+CONIC_LEAVES = {
+    "focal-product": ["--theta", "0.5"],
+    "curvature": ["--theta", "0.5"],
+    "force": ["--theta", "0.5"],
+    "inverse-square": ["--samples", "90"],
+}
+# each ellipse made some leaf print nan or inf, or exit 3 with a raw overflow
+# or zero-division message; the (leaf, a, b) calls below were finite and stay so
+FAR_ELLIPSES = [("1e308", "0.5"), ("1e200", "0.5"), ("1e120", "1"), ("1", "1e-200"), ("1", "1e-320")]
+FINITE_ON_FAR_ELLIPSES = {
+    ("focal-product", "1e120", "1"),
+    ("focal-product", "1", "1e-200"),
+    ("focal-product", "1", "1e-320"),
+    ("curvature", "1", "1e-200"),
+}
+
+
+@pytest.mark.parametrize("leaf", CONIC_LEAVES)
+@pytest.mark.parametrize("a, b", FAR_ELLIPSES)
+def test_conic_ops_print_finite_values_or_exit_3_naming_a_and_b(leaf, a, b):
+    code, out, err = run(["conic", leaf, "--a", a, "--b", b] + CONIC_LEAVES[leaf])
+    if (leaf, a, b) in FINITE_ON_FAR_ELLIPSES:
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert all(math.isfinite(float(v)) for v in (result.values() if isinstance(result, dict) else [result]))
+    else:
+        assert (code, out) == (3, "")
+        assert f"a = {float(a)!r}, b = {float(b)!r}" in err
+
+
+def test_sample_size_at_a_tolerance_past_every_float_is_one():
+    assert run_json(["binom", "sample-size", "--p", "1/3", "--c", "1e400", "--alpha", "1/3"])["result"] == "1"
+
+
 def test_power_with_n_beyond_float_range_exits_3_with_its_own_message():
     code, out, err = run(["factor", "power", "--theta", "1", "--n", str(10**310)])
     assert (code, out) == (3, "")

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from demoivre.lifeannuity import (
     reconstruct_maty_table,
     survival_probability,
     write_table_csv,
-    _support_horizon,
 )
 
 CHECKPOINTS = {
@@ -27,61 +27,28 @@ CHECKPOINTS = {
 }
 
 
-class Immortal:
-    """Stub model: survival identically one over any horizon."""
+class DuckModel:
+    """Survival and horizon methods, but neither a LifeTable nor a DeMoivreLaw."""
 
     def survival_probability(self, x, t):
         return Fraction(1)
 
     def horizon(self, x):
-        return 10**6
-
-
-class Geometric:
-    """Stub model: survival q^t (exact or float) until a stated horizon."""
-
-    def __init__(self, q, years):
-        self.q, self.years = q, years
-
-    def survival_probability(self, x, t):
-        return self.q**t
-
-    def horizon(self, x):
-        return self.years
-
-
-class Cutoff:
-    """Stub model: linear survival that reaches zero long before its horizon.
-
-    Pricing stops at the first zero, so asking for a later term is a fault.
-    """
-
-    def __init__(self, years):
-        self.years = years
-
-    def survival_probability(self, x, t):
-        if t > self.years:
-            raise AssertionError(f"survival asked for t = {t}, past the first zero")
-        return Fraction(self.years - t, self.years)
-
-    def horizon(self, x):
-        return 10**6
+        return 10
 
 
 def forward_annuity_oracle(model, x, rate):
     """The forward Fraction loop annuity_value ran before its integer kernel."""
     survival_probability(model, x, 0)  # age validation
     v = rate.v
-    horizon = _support_horizon(model, x)
     total = Fraction(0)
     power = Fraction(1)
-    for t in range(1, horizon + 1):
-        power *= v
+    for t in itertools.count(1):
         s = survival_probability(model, x, t)
         if s == 0:
-            break
+            return float(total)
+        power *= v
         total += power * s
-    return float(total)
 
 
 def forward_joint_oracle(model_a, x, model_b, y, rate):
@@ -89,33 +56,27 @@ def forward_joint_oracle(model_a, x, model_b, y, rate):
     survival_probability(model_a, x, 0)
     survival_probability(model_b, y, 0)
     v = rate.v
-    horizon = min(_support_horizon(model_a, x), _support_horizon(model_b, y))
     total = Fraction(0)
     power = Fraction(1)
-    for t in range(1, horizon + 1):
-        power *= v
+    for t in itertools.count(1):
         s = survival_probability(model_a, x, t) * survival_probability(model_b, y, t)
         if s == 0:
-            break
+            return float(total)
+        power *= v
         total += power * s
-    return float(total)
 
 
 FRACTIONAL_CSV = "age,lx\n30,100\n31,197/2\n32,96.25\n33,280/3\n34,90\n35,85.5\n36,80\n37,299/4\n38,70\n39,1/3\n"
 
-# the ages each test model is priced at; "immortal" only ever in a joint
-# pair, where the other life's horizon ends the run
+# the ages each test model is priced at
 MODEL_AGES = {
     "maty": (12, 95),
     "csv": (30, 39),
     "law": (-5, 85),
     "short law": (0, 2),
-    "geometric": (0, 100),
-    "float geometric": (0, 100),
-    "cutoff": (0, 100),
-    "immortal": (0, 100),
+    "geometric": (0, 30),
+    "flat": (0, 199),
 }
-FINITE = tuple(name for name in MODEL_AGES if name != "immortal")
 
 interest_rates = st.one_of(
     st.sampled_from([0, 0.0, 0.05, 0.03, 0.07, -0.5, -0.1, 0.25, 1.0, Fraction(1, 20)]),
@@ -124,8 +85,8 @@ interest_rates = st.one_of(
 
 
 @st.composite
-def lives(draw, names=FINITE):
-    name = draw(st.sampled_from(names))
+def lives(draw):
+    name = draw(st.sampled_from(tuple(MODEL_AGES)))
     return name, draw(st.integers(*MODEL_AGES[name]))
 
 
@@ -138,10 +99,8 @@ def models(tmp_path_factory):
         "csv": load_table(path),
         "law": DeMoivreLaw(86),
         "short law": DeMoivreLaw(3),
-        "geometric": Geometric(Fraction(9, 10), 30),
-        "float geometric": Geometric(0.93, 40),
-        "cutoff": Cutoff(12),
-        "immortal": Immortal(),
+        "geometric": LifeTable(0, tuple(Fraction(9, 10) ** t for t in range(31))),
+        "flat": LifeTable(0, (1,) * 200),
     }
 
 
@@ -151,7 +110,7 @@ def models(tmp_path_factory):
 @example(("maty", 95), 0.05)  # terminal age: price 0
 @example(("law", 50), 0)
 @example(("csv", 30), -0.5)
-@example(("cutoff", 3), 0.05)  # survival reaches zero before the horizon
+@example(("short law", 2), 0.05)  # one survivor: price 0
 def test_annuity_value_equals_forward_oracle(models, life, i):
     name, x = life
     rate = RateSpec(i)
@@ -159,9 +118,9 @@ def test_annuity_value_equals_forward_oracle(models, life, i):
 
 
 @settings(max_examples=300, deadline=None)
-@given(lives(tuple(MODEL_AGES)), lives(), interest_rates)
-@example(("immortal", 30), ("law", 50), 0.05)  # horizon 10^6 against 35
-@example(("immortal", 30), ("cutoff", 0), 0.05)  # zero survival ends the run
+@given(lives(), lives(), interest_rates)
+@example(("flat", 30), ("law", 50), 0.05)  # a run of 170 against one of 36
+@example(("flat", 30), ("short law", 0), 0.05)  # the shorter run ends the product
 @example(("maty", 40), ("csv", 35), 0.05)
 @example(("law", 85), ("maty", 40), 0.04)
 def test_joint_annuity_value_equals_forward_oracle(models, life_a, life_b, i):
@@ -325,10 +284,25 @@ def test_joint_examples_and_dominance():
         assert joint <= min(annuity_value(table, x, rate), annuity_value(law, y, rate)) + 1e-12
 
 
-def test_joint_with_immortal_stub_collapses_to_single_life():
+def test_joint_with_immortal_partner_collapses_to_single_life():
+    # a flat table outlives the law's 36-year run, so only the law's life counts
     law = DeMoivreLaw(86)
     rate = RateSpec(0.05)
-    assert joint_annuity_value(Immortal(), 30, law, 50, rate) == annuity_value(law, 50, rate)
+    immortal = LifeTable(0, (1,) * 200)
+    assert joint_annuity_value(immortal, 30, law, 50, rate) == annuity_value(law, 50, rate)
+    assert joint_annuity_value(law, 50, immortal, 30, rate) == annuity_value(law, 50, rate)
+
+
+def test_models_are_a_life_table_or_the_law():
+    duck, law, rate = DuckModel(), DeMoivreLaw(86), RateSpec(0.05)
+    with pytest.raises(TypeError, match="unsupported mortality model DuckModel"):
+        survival_probability(duck, 30, 1)
+    with pytest.raises(TypeError, match="unsupported mortality model DuckModel"):
+        annuity_value(duck, 30, rate)
+    with pytest.raises(TypeError, match="unsupported mortality model DuckModel"):
+        joint_annuity_value(duck, 30, law, 50, rate)
+    with pytest.raises(TypeError, match="unsupported mortality model DuckModel"):
+        joint_annuity_value(law, 50, duck, 30, rate)
 
 
 def test_error_table_age50_rate5_band():
@@ -395,12 +369,13 @@ def test_error_table_needs_a_life_table():
 
 
 def test_error_table_zero_tabular_annuity():
-    table = reconstruct_maty_table()
-    with pytest.raises(MortalityDomainError, match="tabular annuity at age 95 is zero"):
-        approximation_error_table(table, [95], [0.05], omega=100)
+    # the table ends at 61, well inside the law's omega = 86
+    table = LifeTable(60, (10, 5))
+    with pytest.raises(MortalityDomainError, match="tabular annuity at age 61 is zero"):
+        approximation_error_table(table, [61], [0.05])
     # ... and fails before a later bad age is looked at
-    with pytest.raises(MortalityDomainError, match="tabular annuity at age 95 is zero"):
-        approximation_error_table(table, [95, 200], [0.05], omega=100)
+    with pytest.raises(MortalityDomainError, match="tabular annuity at age 61 is zero"):
+        approximation_error_table(table, [61, 200], [0.05])
 
 
 def test_error_table_prices_only_requested_ages():
