@@ -9,17 +9,24 @@ focus to the tangent, R the radius of curvature ("diameter of the
 evolute" read as the curvature radius).  Along one orbit, force * FM^2 is
 constant -- the inverse-square consequence in its directly testable form.
 
-The four public operations return finite values or raise a ValueError
-naming a and b, for an ellipse whose figures leave the double range (a^3
-past 1e308, or a curvature radius that underflows to 0).  Only the result
-is checked, so finite results keep every bit.
+The four public operations raise a ValueError naming a and b for an
+ellipse whose figures leave the double range (a^3 past 1e308, say, or a
+focal product below the least normal double, 2.2e-308).  Every figure
+that geometry makes positive -- both focal-product values, the curvature
+radius, the force and the inverse-square constant -- comes back as a
+normal double, never as an underflowed 0 or a subnormal; the relative
+deviation, which may be 0, comes back finite.  Only the result is
+checked, so accepted results keep every bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
+
+_NORMAL, _LARGEST = sys.float_info.min, sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -52,28 +59,34 @@ def _check_angle(theta: float) -> None:
         raise ValueError(f"angle theta must be finite, got {theta!r}")
 
 
-def _finite(op):
-    """op(e, arg), refused with a ValueError naming a and b unless every value is finite."""
+def _in_double_range(positive: int):
+    """op(e, arg), refused with a ValueError naming a and b unless its first
+    `positive` values are normal doubles and the values after them finite."""
 
-    @functools.wraps(op)
-    def checked(e: Ellipse, arg):
-        try:
-            result = op(e, arg)
-        except (OverflowError, ZeroDivisionError):
-            pass
-        else:
-            if all(map(math.isfinite, result if isinstance(result, tuple) else (result,))):
-                return result
-        raise ValueError(f"ellipse a = {e.a!r}, b = {e.b!r} is out of double range for {op.__name__}")
+    def wrap(op):
+        @functools.wraps(op)
+        def checked(e: Ellipse, arg):
+            try:
+                result = op(e, arg)
+            except (OverflowError, ZeroDivisionError):
+                pass
+            else:
+                values = result if isinstance(result, tuple) else (result,)
+                normal, rest = values[:positive], values[positive:]
+                if all(_NORMAL <= v <= _LARGEST for v in normal) and all(map(math.isfinite, rest)):
+                    return result
+            raise ValueError(f"ellipse a = {e.a!r}, b = {e.b!r} is out of double range for {op.__name__}")
 
-    return checked
+        return checked
+
+    return wrap
 
 
 def orbit_point(e: Ellipse, theta: float) -> OrbitPoint:
     return OrbitPoint(theta, (e.a * math.cos(theta), e.b * math.sin(theta)))
 
 
-@_finite
+@_in_double_range(2)
 def focal_product(e: Ellipse, theta: float):
     """(product of the two focal radii, squared parallel half-diameter).
 
@@ -94,49 +107,43 @@ def focal_product(e: Ellipse, theta: float):
     return product, halfdiam_sq
 
 
-def _curvature(e: Ellipse, theta: float) -> float:
-    s, c = math.sin(theta), math.cos(theta)
-    return (e.a * e.a * s * s + e.b * e.b * c * c) ** 1.5 / (e.a * e.b)
+def _curvature(e: Ellipse, ct: float, st: float) -> float:
+    return (e.a * e.a * st * st + e.b * e.b * ct * ct) ** 1.5 / (e.a * e.b)
 
 
-def _focal_radius_and_pedal(e: Ellipse, theta: float):
-    c = e.focal_distance
-    fm = e.a - c * math.cos(theta)
+def _force(e: Ellipse, c: float, ct: float, st: float):
+    """(force, focal radius FM) at the angle t, given c = e.focal_distance, cos t and sin t."""
+    fm = e.a - c * ct
     # tangent line at M: (x cos t)/a + (y sin t)/b = 1
-    ct, st = math.cos(theta), math.sin(theta)
     fp = abs(c * ct / e.a - 1.0) / math.hypot(ct / e.a, st / e.b)
-    return fm, fp
+    return fm / (_curvature(e, ct, st) * fp**3), fm
 
 
-def _force(e: Ellipse, theta: float) -> float:
-    fm, fp = _focal_radius_and_pedal(e, theta)
-    return fm / (_curvature(e, theta) * fp**3)
-
-
-@_finite
+@_in_double_range(1)
 def radius_of_curvature(e: Ellipse, theta: float) -> float:
     """(a^2 sin^2 t + b^2 cos^2 t)^(3/2) / (a*b)."""
     _check_angle(theta)
-    return _curvature(e, theta)
+    return _curvature(e, math.cos(theta), math.sin(theta))
 
 
-@_finite
+@_in_double_range(1)
 def centripetal_force(e: Ellipse, theta: float) -> float:
     """FM / (R * FP^3), force centre at the focus (+c, 0)."""
     _check_angle(theta)
-    return _force(e, theta)
+    return _force(e, e.focal_distance, math.cos(theta), math.sin(theta))[0]
 
 
-@_finite
+@_in_double_range(1)
 def inverse_square_constant(e: Ellipse, samples: int):
     """(mean of force*FM^2 on a uniform angle grid, max relative deviation)."""
     if samples < 3:
         raise ValueError("need at least three sample angles")
+    c, turn = e.focal_distance, 2 * math.pi
     values = []
     for i in range(samples):
-        theta = 2 * math.pi * i / samples
-        fm, _ = _focal_radius_and_pedal(e, theta)
-        values.append(_force(e, theta) * fm * fm)
+        theta = turn * i / samples
+        force, fm = _force(e, c, math.cos(theta), math.sin(theta))
+        values.append(force * fm * fm)
     mean = math.fsum(values) / samples
     deviation = max(abs(v - mean) for v in values) / abs(mean)
     return mean, deviation

@@ -43,31 +43,11 @@ class TourVerdict:
     reason: str | None = None
 
 
-def _on_board(square) -> bool:
-    f, r = square
-    return 0 <= f < BOARD and 0 <= r < BOARD
-
-
-def _is_knight_move(a, b) -> bool:
-    df, dr = abs(a[0] - b[0]), abs(a[1] - b[1])
-    return (df, dr) in ((1, 2), (2, 1))
-
-
-def validate_tour(squares) -> TourVerdict:
-    """Accept exactly the 64-square knight covers; report the first violation."""
-    squares = [tuple(s) for s in squares]
-    if len(squares) != BOARD * BOARD:
-        return TourVerdict(False, len(squares), "length")
-    seen = set()
-    for i, sq in enumerate(squares):
-        if not _on_board(sq):
-            return TourVerdict(False, i, "off board")
-        if sq in seen:
-            return TourVerdict(False, i, "repeat")
-        if i > 0 and not _is_knight_move(squares[i - 1], sq):
-            return TourVerdict(False, i, "illegal move")
-        seen.add(sq)
-    return TourVerdict(True)
+# the knight graph: its 64 cells (file, rank) and its 336 moves (from, to)
+_CELLS = frozenset((f, r) for f in range(BOARD) for r in range(BOARD))
+_MOVES = frozenset(
+    ((f, r), (f + df, r + dr)) for f, r in _CELLS for df, dr in KNIGHT_MOVES if (f + df, r + dr) in _CELLS
+)
 
 
 def _neighbour_table():
@@ -76,11 +56,37 @@ def _neighbour_table():
     for square in range(SQUARES):
         f, r = divmod(square, BOARD)
         targets = ((f + df, r + dr) for df, dr in KNIGHT_MOVES)
-        table.append(tuple(t[0] * BOARD + t[1] for t in targets if _on_board(t)))
+        table.append(tuple(t[0] * BOARD + t[1] for t in targets if t in _CELLS))
     return tuple(table)
 
 
 _NEIGHBOURS = _neighbour_table()
+
+
+def validate_tour(squares) -> TourVerdict:
+    """Accept exactly the 64-square knight covers; report the first violation.
+
+    A square is valid only as one of the 64 cells (f, r) with 0 <= f, r < 8,
+    and a step only as one of the 336 knight moves between them.  A whole
+    tour passes when its squares are the cells and its steps are moves;
+    otherwise the squares are walked in order to the first one off the
+    board, repeated or reached by a move no knight makes.
+    """
+    squares = [tuple(s) for s in squares]
+    if len(squares) != SQUARES:
+        return TourVerdict(False, len(squares), "length")
+    if _CELLS == set(squares) and _MOVES.issuperset(zip(squares, squares[1:])):
+        return TourVerdict(True)
+    seen = set()
+    for i, sq in enumerate(squares):
+        if sq not in _CELLS:
+            return TourVerdict(False, i, "off board")
+        if sq in seen:
+            return TourVerdict(False, i, "repeat")
+        if i > 0 and (squares[i - 1], sq) not in _MOVES:
+            return TourVerdict(False, i, "illegal move")
+        seen.add(sq)
+    return TourVerdict(True)
 
 
 def find_tour(start) -> Tour:
@@ -91,17 +97,17 @@ def find_tour(start) -> Tour:
     squares numbered 8*file + rank, that order is the order of the packed
     key degree*64 + square.  Onward degrees are kept in an array, lowered
     for a square's neighbours when it is visited and raised when it is left,
-    and the depth-first search keeps one iterator of sorted keys per square
-    of the path instead of recursing.
+    and the depth-first search keeps, for each square of the path, the keys
+    of its untried candidates sorted in reverse, taking the next from the end.
     """
     start = (int(start[0]), int(start[1]))
-    if not _on_board(start):
+    if start not in _CELLS:
         raise ValueError(f"square {start} is off the board")
     degree = [len(targets) for targets in _NEIGHBOURS]
     visited = [False] * SQUARES
     square = start[0] * BOARD + start[1]
     path = [square]
-    moves = []  # moves[i]: keys of the untried candidates from path[i]
+    moves = []  # moves[i]: keys of the untried candidates from path[i], best last
     while True:
         visited[square] = True
         targets = _NEIGHBOURS[square]
@@ -109,9 +115,9 @@ def find_tour(start) -> Tour:
             degree[t] -= 1
         if len(path) == SQUARES:
             break
-        moves.append(iter(sorted([degree[t] * SQUARES + t for t in targets if not visited[t]])))
-        key = next(moves[-1], None)
-        while key is None:  # dead end: leave squares until one has a candidate left
+        keys = sorted([degree[t] * SQUARES + t for t in targets if not visited[t]], reverse=True)
+        moves.append(keys)
+        while not keys:  # dead end: leave squares until one has a candidate left
             moves.pop()
             if not moves:
                 raise RuntimeError(f"no tour from {start}")  # unreachable on the 8x8 board
@@ -119,8 +125,8 @@ def find_tour(start) -> Tour:
             visited[square] = False
             for t in _NEIGHBOURS[square]:
                 degree[t] += 1
-            key = next(moves[-1], None)
-        square = key % SQUARES
+            keys = moves[-1]
+        square = keys.pop() % SQUARES
         path.append(square)
     return Tour(tuple(divmod(square, BOARD) for square in path))
 

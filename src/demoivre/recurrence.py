@@ -169,16 +169,32 @@ def duration_exceeds_exact(spec: DurationSpec) -> float:
     term only adds +0.0, so every value is the same double.  The sum is
     clamped to at most 1, which rounding can pass (1.0000000000000056 at
     b = 100, p = 0.45, n = 100).
+
+    Games are taken two to a list pass, which returns to the start class:
+    the middle class's entry e is formed once, carried to the next element
+    and used there as its left neighbour.  The 0.0 walls become boundary
+    forms (p*0.0 + q*x is q*x and p*x + q*0.0 is p*x, as x >= +0.0), and
+    an odd n ends with one single game.
     """
     p, q = spec.p, 1.0 - spec.p
     odd = spec.b % 2 == 0  # the start state b-1 is odd when b is even
     live = [0.0] * (spec.b - odd)
     live[(spec.b - 1) // 2] = 1.0
-    for _ in range(spec.n):
+    pairs, single = divmod(spec.n, 2)
+    if odd:  # odd -> even -> odd: the even class has q*a_0 and p*a_last at its ends
+        for _ in range(pairs):
+            e, end = q * live[0], p * live[-1]
+            live = [p * e + q * (e := p * a + q * c) for a, c in zip(live, live[1:])]
+            live.append(p * e + q * end)
+    else:  # even -> odd -> even: the odd class is walled with 0.0 at each end
+        for _ in range(pairs):
+            e = 0.0
+            live = [p * e + q * (e := p * a + q * c) for a, c in zip(live, live[1:])]
+            live.append(p * e)
+    if single:
         if odd:
             live = [0.0, *live, 0.0]
         live = [p * a + q * c for a, c in zip(live, live[1:])]
-        odd = not odd
     return min(math.fsum(live), 1.0)
 
 

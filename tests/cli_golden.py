@@ -114,6 +114,10 @@ EDGE_INVOCATIONS = [
     ["games", "tour", "--start", "z9"],
     ["games", "validate", "--squares", "a1 b3"],
     ["conic", "force", "--a", "1e308", "--b", "0.5", "--theta", "0.5"],
+    # figures that underflow to 0 or a subnormal
+    ["conic", "curvature", "--a", "1e-150", "--b", "1e-150", "--theta", "0.5"],
+    ["conic", "focal-product", "--a", "1e-300", "--b", "1e-300", "--theta", "0.5"],
+    ["conic", "focal-product", "--a", "1e-160", "--b", "1e-160", "--theta", "0.5"],
     # a tolerance past every float: every count is in the band at n = 1
     ["binom", "sample-size", "--p", "1/3", "--c", "1e400", "--alpha", "1/3"],
     # usage errors and help

@@ -159,13 +159,19 @@ CONIC_LEAVES = {
     "inverse-square": ["--samples", "90"],
 }
 # each ellipse made some leaf print nan or inf, or exit 3 with a raw overflow
-# or zero-division message; the (leaf, a, b) calls below were finite and stay so
-FAR_ELLIPSES = [("1e308", "0.5"), ("1e200", "0.5"), ("1e120", "1"), ("1", "1e-200"), ("1", "1e-320")]
+# or zero-division message, or (the last three) print 0 or a subnormal for a
+# figure that geometry makes positive; the (leaf, a, b) calls below were
+# normal doubles and stay so
+FAR_ELLIPSES = [
+    ("1e308", "0.5"), ("1e200", "0.5"), ("1e120", "1"), ("1", "1e-200"), ("1", "1e-320"),
+    ("1e-150", "1e-150"), ("1e-160", "1e-160"), ("1e-300", "1e-300"),
+]
 FINITE_ON_FAR_ELLIPSES = {
     ("focal-product", "1e120", "1"),
     ("focal-product", "1", "1e-200"),
     ("focal-product", "1", "1e-320"),
     ("curvature", "1", "1e-200"),
+    ("focal-product", "1e-150", "1e-150"),
 }
 
 
@@ -176,7 +182,8 @@ def test_conic_ops_print_finite_values_or_exit_3_naming_a_and_b(leaf, a, b):
     if (leaf, a, b) in FINITE_ON_FAR_ELLIPSES:
         assert code == 0
         result = json.loads(out)["result"]
-        assert all(math.isfinite(float(v)) for v in (result.values() if isinstance(result, dict) else [result]))
+        values = result.values() if isinstance(result, dict) else [result]
+        assert all(sys.float_info.min <= float(v) <= sys.float_info.max for v in values)
     else:
         assert (code, out) == (3, "")
         assert f"a = {float(a)!r}, b = {float(b)!r}" in err

@@ -15,6 +15,51 @@ from demoivre.conics import (
 SQRT3 = math.sqrt(3)
 
 
+def two_evaluation_force(e, theta):
+    """Oracle: (force, FM) as the force and inverse-square routes formed them from theta.
+
+    The focal radius and pedal are evaluated once for FM and once more for
+    the force, and the curvature radius takes its own sin and cos.
+    """
+
+    def focal_radius_and_pedal():
+        c = e.focal_distance
+        fm = e.a - c * math.cos(theta)
+        ct, st = math.cos(theta), math.sin(theta)
+        return fm, abs(c * ct / e.a - 1.0) / math.hypot(ct / e.a, st / e.b)
+
+    s, c = math.sin(theta), math.cos(theta)
+    curvature = (e.a * e.a * s * s + e.b * e.b * c * c) ** 1.5 / (e.a * e.b)
+    fm, fp = focal_radius_and_pedal()
+    force = fm / (curvature * fp**3)
+    fm, _ = focal_radius_and_pedal()
+    return force, fm
+
+
+def two_evaluation_inverse_square(e, samples):
+    """Oracle: inverse_square_constant by the two-evaluation route."""
+    values = []
+    for i in range(samples):
+        force, fm = two_evaluation_force(e, 2 * math.pi * i / samples)
+        values.append(force * fm * fm)
+    mean = math.fsum(values) / samples
+    return mean, max(abs(v - mean) for v in values) / abs(mean)
+
+
+GRID_ELLIPSES = [
+    Ellipse(ratio * b, b) for b in (0.3, 1.0, 2.5, 7.0) for ratio in (1.0, 1.01, 1.7, 4.0, 30.0)
+]
+
+
+@pytest.mark.parametrize("e", GRID_ELLIPSES)
+def test_force_and_inverse_square_equal_the_two_evaluation_route(e):
+    for samples in (3, 7, 90, 360):
+        assert inverse_square_constant(e, samples) == two_evaluation_inverse_square(e, samples)
+    for i in range(64):
+        theta = -7.0 + 0.23 * i
+        assert centripetal_force(e, theta) == two_evaluation_force(e, theta)[0]
+
+
 def test_orbit_point_on_ellipse():
     e = Ellipse(3.0, 1.5)
     for theta in (0.0, 0.7, math.pi / 2, 2.9):

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demoivre.exactnum import Odds
 from demoivre.games import (
@@ -9,8 +11,7 @@ from demoivre.games import (
     BOARD,
     KNIGHT_MOVES,
     Tour,
-    _is_knight_move,
-    _on_board,
+    TourVerdict,
     algebraic_to_square,
     deck_match_odds,
     find_tour,
@@ -19,6 +20,33 @@ from demoivre.games import (
     tour_to_text,
     validate_tour,
 )
+
+
+def _on_board(square) -> bool:
+    f, r = square
+    return 0 <= f < BOARD and 0 <= r < BOARD
+
+
+def _is_knight_move(a, b) -> bool:
+    df, dr = abs(a[0] - b[0]), abs(a[1] - b[1])
+    return (df, dr) in ((1, 2), (2, 1))
+
+
+def loop_validate_tour(squares):
+    """Oracle: the square-by-square check validate_tour ran before its knight-graph sets."""
+    squares = [tuple(s) for s in squares]
+    if len(squares) != BOARD * BOARD:
+        return TourVerdict(False, len(squares), "length")
+    seen = set()
+    for i, sq in enumerate(squares):
+        if not _on_board(sq):
+            return TourVerdict(False, i, "off board")
+        if sq in seen:
+            return TourVerdict(False, i, "repeat")
+        if i > 0 and not _is_knight_move(squares[i - 1], sq):
+            return TourVerdict(False, i, "illegal move")
+        seen.add(sq)
+    return TourVerdict(True)
 
 
 def recursive_find_tour(start):
@@ -91,6 +119,41 @@ def test_validate_off_board():
     assert not verdict.valid
     assert verdict.index == 5
     assert verdict.reason == "off board"
+
+
+def test_validate_refuses_half_squares():
+    tour = find_tour((0, 0)).squares
+    shifted = [(f + 0.5, r + 0.5) for f, r in tour]  # every step is still a knight's step
+    assert validate_tour(shifted) == TourVerdict(False, 0, "off board")
+    assert validate_tour([(0.5, 0.5)] + list(tour[1:])) == TourVerdict(False, 0, "off board")
+
+
+SOLVED = [find_tour(start).squares for start in ((0, 0), (2, 2), (7, 7))]
+cell = st.tuples(st.integers(-2, 9), st.integers(-2, 9))
+
+
+@st.composite
+def corrupted_tours(draw):
+    """A solver tour with squares replaced, swapped, dropped or appended."""
+    squares = list(draw(st.sampled_from(SOLVED)))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["replace", "swap", "drop", "append"]))
+        i, j = draw(st.integers(0, len(squares) - 1)), draw(st.integers(0, len(squares) - 1))
+        if kind == "replace":
+            squares[i] = draw(cell)
+        elif kind == "swap":
+            squares[i], squares[j] = squares[j], squares[i]
+        elif kind == "drop":
+            del squares[i]
+        else:
+            squares.append(draw(cell))
+    return squares
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_tours())
+def test_validate_gives_the_loop_oracles_verdict(squares):
+    assert validate_tour(squares) == loop_validate_tour(squares)
 
 
 def test_validate_accepts_solver_output():

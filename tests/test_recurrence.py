@@ -276,6 +276,8 @@ walk_p = st.one_of(
 @example(2, 5e-324, 11)
 @example(5, 1 - 2**-53, 11)
 @example(50, 0.49, 500)
+@example(50, 0.51, 3001)  # odd n from the odd class (b even)
+@example(7, 0.3, 13)  # odd n from the even class (b odd)
 def test_parity_walk_is_bit_identical_to_the_loop(b, p, n):
     spec = DurationSpec(b, p, n)
     assert duration_exceeds_exact(spec).hex() == loop_walk_oracle(spec).hex()
