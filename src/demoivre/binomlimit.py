@@ -10,9 +10,10 @@ binomial coefficient and three big powers in all, not a coefficient and
 two powers per term.
 The limiting band probability integrates the kernel
 (2/sqrt(2*pi))*exp(-2 t^2) numerically, by a port of QUADPACK's QAGS
-(21-point Gauss-Kronrod rule, largest-error bisection); the closed-form
-erf route is deliberately left to the test suite as an independent
-oracle.  Band endpoints are inclusive throughout.
+(21-point Gauss-Kronrod rule; the largest (error, rank) is bisected
+next, dqpsrt's pick up to 26 bisections); the closed-form erf route is
+deliberately left to the test suite as an independent oracle.  Band
+endpoints are inclusive throughout.
 """
 
 from __future__ import annotations
@@ -201,10 +202,7 @@ def limit_central_probability(c: float) -> float:
     """
     _check_multiplier(c)
     half = min(c / 2.0, GAUSS_CUTOFF)
-    value, estimate = _qags(_gauss_kernel, -half, half)
-    if estimate > 1e-10:
-        raise ArithmeticError(f"quadrature error estimate {estimate:g} above 1e-10")
-    return min(value, 1.0)
+    return min(_gauss_integral(-half, half), 1.0)
 
 
 def limit_tail_probability(c: float) -> float:
@@ -214,10 +212,7 @@ def limit_tail_probability(c: float) -> float:
     to relative accuracy alone (epsabs = 0).
     """
     _check_multiplier(c)
-    value, estimate = _qags(_gauss_kernel, c / 2.0, max(c / 2.0, GAUSS_ZERO), epsabs=0.0)
-    if estimate > 1e-10:
-        raise ArithmeticError(f"quadrature error estimate {estimate:g} above 1e-10")
-    return min(2.0 * value, 1.0)
+    return min(2.0 * _gauss_integral(c / 2.0, max(c / 2.0, GAUSS_ZERO), epsabs=0.0), 1.0)
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al. 1983, dqk21):
@@ -286,25 +281,27 @@ def _qags(f, a, b, epsabs=_QUAD_TOLERANCE):
     """(integral, error estimate) of f over [a, b] by QUADPACK's dqagse.
 
     This is the path a smooth integrand takes through dqagse: bisect the
-    subinterval with the largest error estimate until the summed estimate
+    subinterval with the largest (error, rank) until the summed estimate
     is at most max(epsabs, _QUAD_TOLERANCE * |integral|), then add the
     subinterval results in list order, with dqagse's operations in
-    dqagse's order.  epsabs = 0 asks for relative accuracy alone.  Left out
-    are its epsilon-algorithm extrapolation (with the bisection order it
-    can impose) and its roundoff exits; over |t| <= GAUSS_CUTOFF the Gauss
-    kernel never reaches them, and the tests check the result against
-    QUADPACK's bit for bit.
+    dqagse's order.  epsabs = 0 asks for relative accuracy alone.  The
+    half left in its parent's slot by bisection `last` ranks 2*last + 1,
+    the appended half 2*last: the tie order of QUADPACK's dqpsrt list,
+    which stays wholly sorted for 26 bisections, so up to there both pick
+    alike.  Left out are dqagse's epsilon-algorithm extrapolation (with
+    the bisection order it can impose) and its roundoff exits; over
+    |t| <= GAUSS_CUTOFF the Gauss kernel never reaches them, and the tests
+    check the result against QUADPACK's bit for bit.
     """
     result, abserr, _, resasc = _kronrod21(f, a, b)
     errbnd = max(epsabs, _QUAD_TOLERANCE * abs(result))
     if (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
         return result, abserr
-    parts = [(a, b, result, abserr)]  # (lower, upper, integral, error) per subinterval
-    order = [0]  # indices of parts, largest error first
-    maxerr, errmax = 0, abserr
+    parts = [(abserr, 0, a, b, result)]  # (error, rank, lower, upper, integral) per subinterval
     area, errsum = result, abserr
     for last in range(1, _QUAD_LIMIT):
-        a1, b2, area0, _ = parts[maxerr]
+        maxerr = parts.index(max(parts))
+        errmax, _, a1, b2, area0 = parts[maxerr]
         b1 = 0.5 * (a1 + b2)
         area1, error1, _, _ = _kronrod21(f, a1, b1)
         area2, error2, _, _ = _kronrod21(f, b1, b2)
@@ -313,47 +310,25 @@ def _qags(f, a, b, epsabs=_QUAD_TOLERANCE):
         errbnd = max(epsabs, _QUAD_TOLERANCE * abs(area))
         # the half with the larger error keeps slot maxerr, the other is appended
         if error2 > error1:
-            parts[maxerr] = (b1, b2, area2, error2)
-            parts.append((a1, b1, area1, error1))
+            parts[maxerr] = (error2, 2 * last + 1, b1, b2, area2)
+            parts.append((error1, 2 * last, a1, b1, area1))
         else:
-            parts[maxerr] = (a1, b1, area1, error1)
-            parts.append((b1, b2, area2, error2))
-        maxerr = _reorder(order, [part[3] for part in parts], maxerr, last)
-        errmax = parts[maxerr][3]
+            parts[maxerr] = (error1, 2 * last + 1, a1, b1, area1)
+            parts.append((error2, 2 * last, b1, b2, area2))
         if errsum <= errbnd:
             total = 0.0
             for part in parts:
-                total += part[2]
+                total += part[4]
             return total, errsum
     raise ArithmeticError(f"quadrature did not converge within {_QUAD_LIMIT} subintervals")
 
 
-def _reorder(order, errors, maxerr, last):
-    """dqpsrt: put the two new estimates into the descending `order`; return its head.
-
-    Slot maxerr was just halved and slot `last` appended.  Only the first
-    limit + 1 - last positions stay sorted once that is fewer than last,
-    as no more subintervals than that can still be bisected.
-    """
-    order.append(last)
-    if last == 1:
-        return order[0]
-    errmax, errmin = errors[maxerr], errors[last]
-    top = last if last <= _QUAD_LIMIT // 2 + 1 else _QUAD_LIMIT + 1 - last
-    for i in range(1, top):
-        if errmax >= errors[order[i]]:
-            break
-        order[i - 1] = order[i]
-    else:
-        order[top - 1], order[top] = maxerr, last
-        return order[0]
-    order[i - 1] = maxerr
-    k = top - 1
-    while k >= i and errmin >= errors[order[k]]:
-        order[k + 1] = order[k]
-        k -= 1
-    order[k + 1] = last
-    return order[0]
+def _gauss_integral(a, b, epsabs=_QUAD_TOLERANCE):
+    """QAGS integral of the Gauss kernel over [a, b]; an error estimate above 1e-10 is refused."""
+    value, estimate = _qags(_gauss_kernel, a, b, epsabs)
+    if estimate > 1e-10:
+        raise ArithmeticError(f"quadrature error estimate {estimate:g} above 1e-10")
+    return value
 
 
 def remark1_fraction(n: int) -> Fraction:

@@ -75,12 +75,21 @@ def parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
 
 
-def list_fields(text: str, flag: str) -> list:
-    """The stripped comma-separated fields of a list flag; an empty field is a domain error."""
+def list_fields(text: str, flag: str, kind=str) -> list:
+    """The stripped comma-separated fields of a list flag, each taken by kind.
+
+    An empty field, or one that kind refuses, is a domain error naming the flag.
+    """
     fields = [field.strip() for field in text.split(",")]
     if not all(fields):
         raise DomainFailure(f"{flag} has an empty field: {text!r}")
-    return fields
+    values = []
+    for field in fields:
+        try:
+            values.append(kind(field))
+        except ValueError:
+            raise DomainFailure(f"{flag} has a field that is not a valid {kind.__name__}: {field!r}") from None
+    return values
 
 
 def parse_coefficients(text: str, real: bool, flag: str = "--coeffs"):
@@ -221,8 +230,8 @@ def _joint(args):
 
 def _error_table(args):
     model = _life_table(args, "error table compares the law against a table; use --maty or --table")
-    ages = [int(a) for a in list_fields(args.ages, "--ages")]
-    rates = [float(r) for r in list_fields(args.rates, "--rates")]
+    ages = list_fields(args.ages, "--ages", int)
+    rates = list_fields(args.rates, "--rates", float)
     grid = lifeannuity.approximation_error_table(model, ages, rates)
     return _noted({"ages": ages, "rates": rates, "percent": grid}, model)
 

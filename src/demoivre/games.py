@@ -30,10 +30,12 @@ class Tour:
     squares: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "squares", tuple((int(f), int(r)) for f, r in self.squares))
-        verdict = validate_tour(self.squares)
+        # validated as given: int() first would pass (0.5, 0.5) or ("0", "0") as (0, 0)
+        squares = tuple(self.squares)
+        verdict = validate_tour(squares)
         if not verdict.valid:
             raise ValueError(f"not a tour: {verdict.reason} at index {verdict.index}")
+        object.__setattr__(self, "squares", tuple((int(f), int(r)) for f, r in squares))
 
 
 @dataclass(frozen=True)

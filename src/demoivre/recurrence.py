@@ -199,7 +199,11 @@ def duration_exceeds_exact(spec: DurationSpec) -> float:
 
 
 def duration_weights(b: int, p: float):
-    """(t_j, c_j) pairs of the closed form, j = 1 .. b/2, for even b."""
+    """(t_j, c_j) pairs of the closed form, j = 1 .. b/2, for even b.
+
+    A product of differences t_j - t_i that underflows to 0 (b = 1200,
+    p = 0.3) leaves no weight to form, so it is refused, naming the walk.
+    """
     if b % 2 != 0:
         raise ValueError("closed form is stated for even b only")
     q = 1.0 - p
@@ -214,6 +218,8 @@ def duration_weights(b: int, p: float):
                 continue
             num *= 1 - t[i]
             den *= t[j] - t[i]
+        if den == 0.0:
+            raise ValueError(f"closed form underflows at b = {b}, p = {p}; use duration exact")
         weights.append((t[j], num / den))
     return weights
 

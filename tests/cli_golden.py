@@ -68,6 +68,7 @@ EDGE_INVOCATIONS = [
     ["recur", "eval", "--coeffs", "1,1", "--init", "x", "--n", "3"],
     ["annuity", "error-table", "--maty", "--ages", "20,,50", "--rates", "0.05,"],
     ["annuity", "error-table", "--maty", "--ages", "20,x", "--rates", "0.05"],
+    ["annuity", "error-table", "--maty", "--ages", "20", "--rates", "0.05,x"],
     # life models, their -b variants and the survivor-tail note
     ["annuity", "joint", "--maty", "--law-b", "86"] + JOINT,
     ["annuity", "joint", "--law", "86", "--table-b", MATY_CSV] + JOINT,
@@ -120,6 +121,8 @@ EDGE_INVOCATIONS = [
     ["conic", "focal-product", "--a", "1e-160", "--b", "1e-160", "--theta", "0.5"],
     # a tolerance past every float: every count is in the band at n = 1
     ["binom", "sample-size", "--p", "1/3", "--c", "1e400", "--alpha", "1/3"],
+    # a closed form whose product of weight differences underflows to 0
+    ["duration", "closed", "--b", "1200", "--p", "0.3", "--n", "100"],
     # usage errors and help
     [],
     ["nonsense"],

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from demoivre import binomlimit
 from demoivre.binomlimit import (
+    _QUAD_LIMIT,
     GAUSS_CUTOFF,
     MAX_WORKERS,
     TrialSpec,
@@ -295,6 +297,91 @@ def test_tail_against_erfc(c):
 def test_tail_against_erfc_relative(c):
     exact = math.erfc(c / math.sqrt(2))
     assert abs(limit_tail_probability(c) - exact) <= 1e-12 * exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=45.0))
+@example(10.0)
+@example(20.0)
+@example(36.57539433135964)
+@example(40.0)
+def test_tail_matches_quadpack_bit_for_bit(c):
+    """The tail against scipy's QUADPACK, at relative accuracy alone as the port integrates it."""
+    integrate = pytest.importorskip("scipy.integrate")
+    value, _ = integrate.quad(_gauss_kernel, c / 2, max(c / 2, 20), epsabs=0, epsrel=1e-13)
+    assert limit_tail_probability(c) == min(2.0 * value, 1.0)
+
+
+def dqpsrt(order, errors, maxerr, last):
+    """QUADPACK's dqpsrt, transcribed: put the two new estimates into the descending `order`; return its head.
+
+    Slot maxerr (the head) was just halved and slot `last` appended.  Only
+    the first limit + 1 - last positions stay sorted once that is fewer
+    than last, as no more subintervals than that can still be bisected.
+    """
+    order.append(last)
+    if last == 1:
+        return order[0]
+    errmax, errmin = errors[maxerr], errors[last]
+    top = last if last <= _QUAD_LIMIT // 2 + 1 else _QUAD_LIMIT + 1 - last
+    for i in range(1, top):
+        if errmax >= errors[order[i]]:
+            break
+        order[i - 1] = order[i]
+    else:
+        order[top - 1], order[top] = maxerr, last
+        return order[0]
+    order[i - 1] = maxerr
+    k = top - 1
+    while k >= i and errmin >= errors[order[k]]:
+        order[k + 1] = order[k]
+        k -= 1
+    order[k + 1] = last
+    return order[0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=_QUAD_LIMIT // 2 + 1))
+def test_dqpsrt_head_is_the_largest_error_and_rank(bisections):
+    """Up to 26 bisections dqpsrt picks what _qags picks: the largest (error, rank).
+
+    Errors are drawn from four values, so ties are the rule; the half that
+    keeps its parent's slot (rank 2*last + 1) never has the smaller error,
+    as in _qags, and the appended half ranks 2*last.
+    """
+    errors, ranks = [0], [0]
+    order, maxerr = [0], 0
+    for last, halves in enumerate(bisections, start=1):
+        errors[maxerr], ranks[maxerr] = max(halves), 2 * last + 1
+        errors.append(min(halves))
+        ranks.append(2 * last)
+        maxerr = dqpsrt(order, errors, maxerr, last)
+        assert maxerr == max(range(last + 1), key=lambda i: (errors[i], ranks[i]))
+
+
+def test_gauss_integrals_stay_within_the_sorted_bisections(monkeypatch):
+    """The precondition of the (error, rank) pick: neither Gauss integral passes 26 bisections.
+
+    A 21-point rule evaluates the kernel 21 times, and each bisection
+    applies it twice, so a call that evaluates it 21 * (1 + 2m) times has
+    made m bisections.
+    """
+    evaluations = 0
+
+    def counted(t):
+        nonlocal evaluations
+        evaluations += 1
+        return _gauss_kernel(t)
+
+    monkeypatch.setattr(binomlimit, "_gauss_kernel", counted)
+    grid = [k / 16 for k in range(1, 16 * 60)] + [10.0 ** (e / 4) for e in range(-4 * 320, 4 * 3)]
+    for c in grid:
+        for integral in (limit_central_probability, limit_tail_probability):
+            evaluations = 0
+            integral(c)
+            rules, rest = divmod(evaluations, 21)
+            assert rest == 0 and rules % 2 == 1
+            assert (rules - 1) // 2 <= _QUAD_LIMIT // 2 + 1, (integral.__name__, c)
 
 
 def test_quadrature_gives_up_after_fifty_subintervals():

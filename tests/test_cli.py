@@ -240,6 +240,24 @@ def test_empty_list_field_exits_3_naming_the_list(argv, flag):
     assert err.startswith(f"error: {flag} has an empty field")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--ages", "20,x", "--rates", "0.05"], "--ages has a field that is not a valid int: 'x'"),
+    (["--ages", "20", "--rates", "0.05,x"], "--rates has a field that is not a valid float: 'x'"),
+])
+def test_error_table_names_the_flag_and_field_it_cannot_read(flags, message):
+    assert run(["annuity", "error-table", "--maty", *flags]) == (3, "", f"error: {message}\n")
+
+
+def test_closed_duration_refuses_an_underflowing_weight_product():
+    # b = 626 is the first even b at which prod(t_j - t_i) underflows to 0 for p = 0.1
+    for b, p in (("626", "0.1"), ("1200", "0.3")):
+        code, out, err = run(["duration", "closed", "--b", b, "--p", p, "--n", "100"])
+        assert (code, out, err) == (3, "", f"error: closed form underflows at b = {b}, p = {p}; use duration exact\n")
+    # the walk it names answers: no ruin is possible within 100 games of 1200 stakes
+    walk = run_json(["duration", "exact", "--b", "1200", "--p", "0.3", "--n", "100"])["result"]
+    assert float(walk) == pytest.approx(1.0, abs=1e-13)
+
+
 def test_recur_eval_inside_the_initial_terms_returns_them():
     for n, term in enumerate(["0", "1"]):
         assert run_json(["recur", "eval", "--coeffs", "1,1", "--init", "0,1", "--n", str(n)])["result"] == term

@@ -210,6 +210,15 @@ def test_tour_type_enforces_invariants():
         Tour(((0, 0), (1, 1)) + tuple((i % 8, i // 8) for i in range(62)))
 
 
+def test_tour_validates_its_squares_before_it_converts_them():
+    tour = find_tour((0, 0)).squares
+    for squares in ([(f + 0.5, r + 0.5) for f, r in tour], [(str(f), str(r)) for f, r in tour]):
+        with pytest.raises(ValueError, match="off board at index 0"):
+            Tour(tuple(squares))
+    as_floats = Tour(tuple((float(f), float(r)) for f, r in tour)).squares  # whole floats name the cells
+    assert as_floats == tour and all(type(x) is int for square in as_floats for x in square)
+
+
 def test_algebraic_serialization():
     assert square_to_algebraic((0, 0)) == "a1"
     assert square_to_algebraic((7, 7)) == "h8"
