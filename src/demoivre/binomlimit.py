@@ -2,12 +2,15 @@
 
 Central-band masses P(|X - np| <= c*sqrt(n)/2) are summed exactly in
 rational arithmetic up to n = 4096 (2^n denominators stay affordable
-there) and in compensated floating point above.  One kernel, `_band_mass`,
+there) and in compensated floating point above.  One kernel, `_band_sum`,
 takes every exact band sum, for the central band and for the sample-size
 scan alike: an integer recurrence steps each binomial coefficient from the
 last and accumulates the terms by Horner's rule, so a band takes one
-binomial coefficient and three big powers in all, not a coefficient and
-two powers per term.
+binomial coefficient and two big powers in all, not a coefficient and
+two powers per term.  It returns d^n times the mass of p = a/d as an
+integer: the central band divides it by d^n once, and the sample-size
+scan compares it with d^n (1 - alpha) in integers, so that scan takes
+its band edges by integer division and builds no Fraction per n.
 The limiting band probability integrates the kernel
 (2/sqrt(2*pi))*exp(-2 t^2) numerically, by a port of QUADPACK's QAGS
 (21-point Gauss-Kronrod rule; the largest (error, rank) is bisected
@@ -101,33 +104,39 @@ def exact_central_probability(spec: TrialSpec, c: float):
 
 
 def _band_mass(n: int, p: Fraction, lo: int, hi: int) -> Fraction:
-    """Exact binomial mass of the counts lo..hi, the one exact band sum.
+    """Exact binomial mass of the counts lo..hi: _band_sum over d^n for p = a/d."""
+    a, d = p.numerator, p.denominator
+    return Fraction(_band_sum(n, a, d - a, lo, hi), d**n)
 
-    With p = a/d and q = d - a the mass is
-    a^lo q^(n-hi) / d^n * sum_k C(n, k) a^(k-lo) q^(hi-k), and the sum is
+
+def _band_sum(n: int, a: int, q: int, lo: int, hi: int) -> int:
+    """d^n times the binomial mass of the counts lo..hi, unreduced, for p = a/d and q = d - a.
+
+    The one exact band sum: a^lo q^(n-hi) sum_k C(n, k) a^(k-lo) q^(hi-k),
     taken by Horner's rule in q while u = C(n, k) a^(k-lo) steps by the
     exact ratio (n-k) a / (k+1).  Every step multiplies a big integer by a
     small one; the big powers are taken once, outside the loop.  The first
     coefficient C(n, lo) comes from exactnum.binomial_coefficient, which
-    builds a large one from prime powers.
+    builds a large one from prime powers.  An empty band (lo > hi) sums to 0.
     """
     if lo > hi:
-        return Fraction(0)
-    a = p.numerator
-    q = p.denominator - a
+        return 0
     u = binomial_coefficient(n, lo)
     total = u
     for k in range(lo, hi):
         u = u * (n - k) // (k + 1) * a
         total = total * q + u
-    return Fraction(total * a**lo * q ** (n - hi), p.denominator**n)
+    return total * a**lo * q ** (n - hi)
 
 
 def _band_probability_float(n, p, lo, hi):
     # terms by two-sided recursion from the in-band mode, anchored by lgamma;
-    # Neumaier summation keeps the accumulated error near one ulp.  lgamma's
-    # ~1e-12 relative error can lift a band near the whole row past 1
-    # (n = 5000, every count: 1.000000000001398), so the sum is capped at 1.
+    # Neumaier summation keeps the summation's own error near one ulp.  The
+    # anchor's is larger: lgamma(n + 1) ~ n ln(n) is rounded to about
+    # eps * n * ln(n) absolute, which exp makes the relative error of every
+    # term (8.6e3 ulp at n = 5000, 3.2e5 ulp at n = 10^5, c = 1, p = 1/2).
+    # It can lift a band near the whole row past 1 (n = 5000, every count:
+    # 1.000000000001398), so the sum is capped at 1.
     q = 1.0 - p
 
     def logpmf(k):
@@ -341,11 +350,13 @@ def remark1_fraction(n: int) -> Fraction:
     return Fraction(1, 2 * root)
 
 
-def _band_probability_exact_frequency(n: int, p: Fraction, c: Fraction) -> Fraction:
-    """P(|X/n - p| <= c) exactly, for the sample-size search."""
-    lo = max(0, math.ceil(n * (p - c)))
-    hi = min(n, math.floor(n * (p + c)))
-    return _band_mass(n, p, lo, hi)
+def _exact_input(x, name: str) -> Fraction:
+    """x as a Fraction; a float is taken as the decimal it prints as, and must be finite."""
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+        return Fraction(repr(float(x)))
+    return Fraction(x)
 
 
 def sample_size(p, c, alpha) -> int:
@@ -356,24 +367,40 @@ def sample_size(p, c, alpha) -> int:
     the scan walks upward from n = 1 until the band holds 1 - alpha.  It
     always stops: by Bernoulli's theorem the band probability tends to 1
     as n grows, and once c >= max(p, 1 - p) every count is in the band,
-    so n = 1.  Each n costs one exact band sum by the shared recurrence
-    kernel (one binomial coefficient, then big-by-small integer steps over
-    the band).
+    so n = 1.  A float p, c or alpha is taken as the decimal it prints as,
+    as TrialSpec takes p: 0.3 is 3/10.
+
+    The scan runs on integers and builds no Fraction per n.  With p = a/d,
+    p - c = ln/ld and p + c = hn/hd, the band of n is
+    ceil(n ln / ld)..floor(n hn / hd) clamped to 0..n.  Its mass times d^n
+    is one unreduced _band_sum, and with 1 - alpha = tn/td the band holds
+    1 - alpha when sum * td >= tn * d^n.  An empty band holds nothing, and
+    the scan goes on.
     """
-    p = Fraction(p)
-    c = Fraction(c)
-    alpha = Fraction(alpha)
+    p = _exact_input(p, "p")
+    c = _exact_input(c, "c")
+    alpha = _exact_input(alpha, "alpha")
     if not 0 < p < 1:
         raise ValueError("p must lie strictly in (0, 1)")
     if c <= 0:
         raise ValueError("tolerance c must be positive")
     if not 0 < alpha < 1:
         raise ValueError("risk alpha must lie strictly in (0, 1)")
-    target = 1 - alpha
-    n = 1
-    while _band_probability_exact_frequency(n, p, c) < target:
+    a, d = p.numerator, p.denominator
+    q = d - a
+    low, high, target = p - c, p + c, 1 - alpha
+    ln, ld = low.numerator, low.denominator
+    hn, hd = high.numerator, high.denominator
+    tn, td = target.numerator, target.denominator
+    scale = 1  # d^n
+    n = 0
+    while True:
         n += 1
-    return n
+        scale *= d
+        lo = max(0, -(-n * ln // ld))
+        hi = min(n, n * hn // hd)
+        if lo <= hi and _band_sum(n, a, q, lo, hi) * td >= tn * scale:
+            return n
 
 
 def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int, workers: int | None = None) -> float:

@@ -12,7 +12,6 @@ from demoivre.binomlimit import (
     MAX_WORKERS,
     TrialSpec,
     _band_mass,
-    _band_probability_exact_frequency,
     _gauss_kernel,
     _qags,
     band_bounds,
@@ -58,6 +57,22 @@ def termwise_band_mass(n, p, lo, hi):
     return Fraction(num, p.denominator**n)
 
 
+def frequency_band_mass(n, p, c):
+    """Oracle: P(|X/n - p| <= c) as a normalised Fraction, its band edges taken in Fractions."""
+    lo = max(0, math.ceil(n * (p - c)))
+    hi = min(n, math.floor(n * (p + c)))
+    return _band_mass(n, p, lo, hi)
+
+
+def fraction_scan(p, c, alpha, limit=10_000):
+    """Oracle: the sample-size scan with a Fraction band mass per n, as sample_size ran before its integer scan."""
+    p, c, alpha = Fraction(p), Fraction(c), Fraction(alpha)
+    for n in range(1, limit + 1):
+        if frequency_band_mass(n, p, c) >= 1 - alpha:
+            return n
+    raise AssertionError("scan limit reached")
+
+
 rational_p = st.integers(2, 60).flatmap(lambda d: st.builds(Fraction, st.integers(1, d - 1), st.just(d)))
 # a float p enters the exact path through its binary value
 binary_p = st.floats(1e-3, 1 - 1e-3).map(Fraction)
@@ -95,7 +110,7 @@ def test_band_entry_points_match_termwise_oracle(n, p, c_hundredths):
     assert exact_central_probability(spec, c) == termwise_band_mass(n, p, *band_bounds(spec, c))
     tol = Fraction(c_hundredths, 1000)
     lo, hi = max(0, math.ceil(n * (p - tol))), min(n, math.floor(n * (p + tol)))
-    assert _band_probability_exact_frequency(n, p, tol) == termwise_band_mass(n, p, lo, hi)
+    assert frequency_band_mass(n, p, tol) == termwise_band_mass(n, p, lo, hi)
 
 
 def test_two_coin_band():
@@ -451,9 +466,69 @@ def test_sample_size_crossing_property():
     for p, c, alpha in ((HALF, Fraction(1, 20), Fraction(1, 20)),
                         (Fraction(3, 10), Fraction(1, 10), Fraction(1, 10))):
         n = sample_size(p, c, alpha)
-        assert _band_probability_exact_frequency(n, p, c) >= 1 - alpha
+        assert frequency_band_mass(n, p, c) >= 1 - alpha
         if n > 1:
-            assert _band_probability_exact_frequency(n - 1, p, c) < 1 - alpha
+            assert frequency_band_mass(n - 1, p, c) < 1 - alpha
+
+
+@st.composite
+def sample_size_cases(draw):
+    d = draw(st.integers(2, 40))
+    p = Fraction(draw(st.integers(1, d - 1)), d)
+    c = draw(st.one_of(
+        st.builds(Fraction, st.integers(16, 60), st.just(240)),  # 1/240 steps over [1/15, 1/4]
+        st.floats(1 / 15, 1 / 4).map(Fraction),  # binary values: power-of-two denominators near 2^56
+        st.builds(lambda extra: max(p, 1 - p) + Fraction(extra, 8), st.integers(0, 8)),  # every count: n = 1
+    ))
+    alpha = draw(st.builds(Fraction, st.integers(2, 30), st.just(60)))  # [1/30, 1/2]
+    return p, c, alpha
+
+
+@settings(max_examples=150, deadline=None)
+@given(sample_size_cases())
+@example((Fraction(1, 40), Fraction(1, 15), Fraction(1, 30)))
+@example((Fraction(39, 40), Fraction(1, 15), Fraction(1, 30)))
+@example((Fraction(15, 34), Fraction(1, 15), Fraction(1, 30)))  # n = 253, the largest the strategy reaches
+@example((Fraction(2, 3), Fraction(2, 3), Fraction(1, 2)))  # c = max(p, 1 - p)
+def test_sample_size_matches_fraction_scan(case):
+    p, c, alpha = case
+    n = sample_size(p, c, alpha)
+    assert n == fraction_scan(p, c, alpha, limit=400)
+    if c >= max(p, 1 - p):
+        assert n == 1
+
+
+def test_sample_size_counts_a_band_holding_exactly_one_minus_alpha():
+    # n = 1: the band [1/4, 3/4] holds no count; n = 2: it holds k = 1, mass exactly 1/2
+    assert frequency_band_mass(1, HALF, Fraction(1, 4)) == 0
+    assert frequency_band_mass(2, HALF, Fraction(1, 4)) == HALF
+    assert sample_size(1 / 2, 1 / 4, 1 / 2) == 2
+    assert sample_size(HALF, Fraction(1, 4), HALF) == 2
+
+
+def test_sample_size_steps_over_empty_bands():
+    # n/7 +- n/50 holds no integer for n = 1..6; at n = 7 it holds k = 1, mass 7 (1/7) (6/7)^6 > 1/10
+    p, c, alpha = Fraction(1, 7), Fraction(1, 50), Fraction(9, 10)
+    assert all(frequency_band_mass(n, p, c) == 0 for n in range(1, 7))
+    assert sample_size(p, c, alpha) == 7 == fraction_scan(p, c, alpha)
+
+
+def test_sample_size_takes_a_float_as_its_decimal():
+    # 0.3's binary value moves the band edges n(p -+ c) off the integers that 3/10 - 1/10 puts them on
+    tenth = Fraction(1, 10)
+    assert sample_size(0.3, 0.1, 0.1) == sample_size(Fraction(3, 10), tenth, tenth) == 50
+    assert sample_size(Fraction(0.3), Fraction(0.1), Fraction(0.1)) == 53
+    assert sample_size(0.3, 0.05, 0.05) == sample_size(Fraction(3, 10), Fraction(1, 20), Fraction(1, 20))
+    assert sample_size(0.5, Fraction(1, 20), 0.05) == 371
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["p", "c", "alpha"])
+def test_sample_size_rejects_a_non_finite_float_by_name(name, bad):
+    args = dict(p=HALF, c=Fraction(1, 10), alpha=Fraction(1, 10))
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        sample_size(**args)
 
 
 def test_simulate_band_trivial_cover():

@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -188,8 +189,17 @@ def test_find_tour_several_starts_validate():
 
 
 def test_find_tour_matches_recursive_solver_from_every_square():
-    for start in [(f, r) for f in range(8) for r in range(8)]:  # d4, the slowest, included
-        assert find_tour(start).squares == recursive_find_tour(start).squares, start
+    # The oracle recurses up to 64 frames deep, and its cost grows with the
+    # depth of the stack it starts on: under pytest's deep stack it takes
+    # about twice as long as from a fresh thread's, so it runs on one.
+    starts = [(f, r) for f in range(8) for r in range(8)]  # d4, the slowest, included
+    oracle = {}
+    solver = threading.Thread(target=lambda: oracle.update((s, recursive_find_tour(s).squares) for s in starts))
+    solver.start()
+    solver.join(timeout=120)
+    assert not solver.is_alive() and len(oracle) == len(starts)
+    for start in starts:
+        assert find_tour(start).squares == oracle[start], start
 
 
 def test_neighbour_table_is_the_knight_graph():
