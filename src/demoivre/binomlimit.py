@@ -11,12 +11,12 @@ two powers per term.  It returns d^n times the mass of p = a/d as an
 integer: the central band divides it by d^n once, and the sample-size
 scan compares it with d^n (1 - alpha) in integers, so that scan takes
 its band edges by integer division and builds no Fraction per n.
-The limiting band probability integrates the kernel
-(2/sqrt(2*pi))*exp(-2 t^2) numerically, by a port of QUADPACK's QAGS
-(21-point Gauss-Kronrod rule; the largest (error, rank) is bisected
-next, dqpsrt's pick up to 26 bisections); the closed-form erf route is
-deliberately left to the test suite as an independent oracle.  Band
-endpoints are inclusive throughout.
+The limiting band probability, the one integral here, integrates the
+kernel (2/sqrt(2*pi))*exp(-2 t^2) over |t| <= c/2 by a port of QUADPACK's
+QAGS, with scipy.integrate.quad's bits (21-point Gauss-Kronrod rule; the
+largest (error, rank) is bisected next, dqpsrt's pick up to 26
+bisections); the closed-form erf route is left to the test suite as an
+independent oracle.  Band endpoints are inclusive throughout.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ _SIM_CHUNK = 4096
 # an ulp of 1 from below, so the band integral stops there: the integral
 # over |t| <= GAUSS_CUTOFF rounds to the same double as over the whole line.
 GAUSS_CUTOFF = 4.1875
-# Past |t| = 20 the kernel is exactly 0.0 in double precision.
-GAUSS_ZERO = 20.0
 
 
 @dataclass(frozen=True)
@@ -174,17 +172,6 @@ def _band_probability_float(n, p, lo, hi):
     return min(1.0, total + comp)
 
 
-def stirling_log_factorial(x: float) -> float:
-    """ln x! by the two-term Stirling form x*ln(x) - x + ln(2*pi*x)/2.
-
-    Reference implementation of the approximation behind the central-term
-    density; the exact paths never use it.
-    """
-    if x <= 0:
-        raise ValueError("stirling form needs x > 0")
-    return x * math.log(x) - x + 0.5 * math.log(2 * math.pi * x)
-
-
 def demoivre_term(n: int, l: int) -> float:
     """Density approximation 2/sqrt(2*pi*n) * exp(-2*l^2/n) at offset l.
 
@@ -207,21 +194,15 @@ def limit_central_probability(c: float) -> float:
     """Limiting band probability: integral of (2/sqrt(2*pi))*exp(-2t^2) over |t| <= c/2.
 
     The range is cut at |t| <= GAUSS_CUTOFF, where the rest of the mass is
-    below half an ulp of 1, and the result is clamped to at most 1.
+    below half an ulp of 1, the result is clamped to at most 1, and an
+    error estimate above 1e-10 is refused.
     """
     _check_multiplier(c)
     half = min(c / 2.0, GAUSS_CUTOFF)
-    return min(_gauss_integral(-half, half), 1.0)
-
-
-def limit_tail_probability(c: float) -> float:
-    """Complementary integral over |t| > c/2 (two equal tails), up to |t| = GAUSS_ZERO.
-
-    The tail can be far below any absolute tolerance, so it is integrated
-    to relative accuracy alone (epsabs = 0).
-    """
-    _check_multiplier(c)
-    return min(2.0 * _gauss_integral(c / 2.0, max(c / 2.0, GAUSS_ZERO), epsabs=0.0), 1.0)
+    value, estimate = _qags(_gauss_kernel, -half, half)
+    if estimate > 1e-10:
+        raise ArithmeticError(f"quadrature error estimate {estimate:g} above 1e-10")
+    return min(value, 1.0)
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al. 1983, dqk21):
@@ -249,7 +230,7 @@ _WG = (
     0.295524224714752870173892994651338,
 )
 _EPS = sys.float_info.epsilon
-_QUAD_TOLERANCE = 1e-13  # dqagse's epsrel, and its epsabs unless the caller passes one
+_QUAD_TOLERANCE = 1e-13  # dqagse's absolute and relative tolerance alike
 _QUAD_LIMIT = 50
 
 
@@ -286,16 +267,16 @@ def _kronrod21(f, a, b):
     return resk * hlgth, abserr, resabs, resasc
 
 
-def _qags(f, a, b, epsabs=_QUAD_TOLERANCE):
+def _qags(f, a, b):
     """(integral, error estimate) of f over [a, b] by QUADPACK's dqagse.
 
     This is the path a smooth integrand takes through dqagse: bisect the
     subinterval with the largest (error, rank) until the summed estimate
-    is at most max(epsabs, _QUAD_TOLERANCE * |integral|), then add the
-    subinterval results in list order, with dqagse's operations in
-    dqagse's order.  epsabs = 0 asks for relative accuracy alone.  The
-    half left in its parent's slot by bisection `last` ranks 2*last + 1,
-    the appended half 2*last: the tie order of QUADPACK's dqpsrt list,
+    is at most max(_QUAD_TOLERANCE, _QUAD_TOLERANCE * |integral|), the
+    stop of dqagse with both tolerances 1e-13, then add the subinterval
+    results in list order, with dqagse's operations in dqagse's order.
+    The half left in its parent's slot by bisection `last` ranks
+    2*last + 1, the appended half 2*last: the tie order of QUADPACK's dqpsrt list,
     which stays wholly sorted for 26 bisections, so up to there both pick
     alike.  Left out are dqagse's epsilon-algorithm extrapolation (with
     the bisection order it can impose) and its roundoff exits; over
@@ -303,7 +284,7 @@ def _qags(f, a, b, epsabs=_QUAD_TOLERANCE):
     check the result against QUADPACK's bit for bit.
     """
     result, abserr, _, resasc = _kronrod21(f, a, b)
-    errbnd = max(epsabs, _QUAD_TOLERANCE * abs(result))
+    errbnd = max(_QUAD_TOLERANCE, _QUAD_TOLERANCE * abs(result))
     if (abserr <= errbnd and abserr != resasc) or abserr == 0.0:
         return result, abserr
     parts = [(abserr, 0, a, b, result)]  # (error, rank, lower, upper, integral) per subinterval
@@ -316,7 +297,7 @@ def _qags(f, a, b, epsabs=_QUAD_TOLERANCE):
         area2, error2, _, _ = _kronrod21(f, b1, b2)
         errsum = errsum + (error1 + error2) - errmax
         area = area + (area1 + area2) - area0
-        errbnd = max(epsabs, _QUAD_TOLERANCE * abs(area))
+        errbnd = max(_QUAD_TOLERANCE, _QUAD_TOLERANCE * abs(area))
         # the half with the larger error keeps slot maxerr, the other is appended
         if error2 > error1:
             parts[maxerr] = (error2, 2 * last + 1, b1, b2, area2)
@@ -330,14 +311,6 @@ def _qags(f, a, b, epsabs=_QUAD_TOLERANCE):
                 total += part[4]
             return total, errsum
     raise ArithmeticError(f"quadrature did not converge within {_QUAD_LIMIT} subintervals")
-
-
-def _gauss_integral(a, b, epsabs=_QUAD_TOLERANCE):
-    """QAGS integral of the Gauss kernel over [a, b]; an error estimate above 1e-10 is refused."""
-    value, estimate = _qags(_gauss_kernel, a, b, epsabs)
-    if estimate > 1e-10:
-        raise ArithmeticError(f"quadrature error estimate {estimate:g} above 1e-10")
-    return value
 
 
 def remark1_fraction(n: int) -> Fraction:

@@ -48,12 +48,6 @@ class Ellipse:
         return math.sqrt(self.a * self.a - self.b * self.b)
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
-    theta: float
-    position: tuple
-
-
 def _check_angle(theta: float) -> None:
     if not math.isfinite(theta):
         raise ValueError(f"angle theta must be finite, got {theta!r}")
@@ -82,10 +76,6 @@ def _in_double_range(positive: int):
     return wrap
 
 
-def orbit_point(e: Ellipse, theta: float) -> OrbitPoint:
-    return OrbitPoint(theta, (e.a * math.cos(theta), e.b * math.sin(theta)))
-
-
 @_in_double_range(2)
 def focal_product(e: Ellipse, theta: float):
     """(product of the two focal radii, squared parallel half-diameter).
@@ -96,7 +86,7 @@ def focal_product(e: Ellipse, theta: float):
     """
     _check_angle(theta)
     c = e.focal_distance
-    x, y = orbit_point(e, theta).position
+    x, y = e.a * math.cos(theta), e.b * math.sin(theta)
     d1 = math.hypot(x - c, y)
     d2 = math.hypot(x + c, y)
     product = d1 * d2

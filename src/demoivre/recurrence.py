@@ -99,12 +99,21 @@ def solve_recurrence(r: Recurrence) -> ClosedForm:
 
 
 def eval_closed_form(cf: ClosedForm, n: int) -> float:
-    """Sum coefficient * root^n; imaginary residue checked, then dropped."""
+    """Sum coefficient * root^n; imaginary residue checked, then dropped.
+
+    A sum past the double range is an ArithmeticError naming n.
+    """
     if n < 0:
         raise ValueError("index must be non-negative")
-    total = sum(c * r**n for c, r in cf.terms)
+    try:
+        terms = [c * r**n for c, r in cf.terms]
+        total = sum(terms)
+        if not cmath.isfinite(total):
+            raise OverflowError
+    except OverflowError:
+        raise ArithmeticError(f"a_n leaves the double range at n={n}") from None
     if cf.realness:
-        scale = max(1.0, sum(abs(c * r**n) for c, r in cf.terms))
+        scale = max(1.0, sum(abs(t) for t in terms))
         if abs(total.imag) > RESIDUE_TOLERANCE * scale:
             raise ArithmeticError(
                 f"imaginary residue {total.imag:g} exceeds tolerance at n={n}"
@@ -116,20 +125,26 @@ def partial_sum(r: Recurrence, upto: int) -> float:
     """Sum of a_0 .. a_upto from per-root geometric sums.
 
     A root within 1e-8 of 1 contributes coefficient*(upto+1); any other
-    root contributes coefficient*(root^(upto+1) - 1)/(root - 1).
+    root contributes coefficient*(root^(upto+1) - 1)/(root - 1).  A sum
+    past the double range is an ArithmeticError naming n = upto.
     """
     if upto < 0:
         raise ValueError("index must be non-negative")
     cf = solve_recurrence(r)
     total = 0j
     scale = 1.0
-    for c, root in cf.terms:
-        if abs(root - 1.0) <= ROOT_SEPARATION:
-            piece = c * (upto + 1)
-        else:
-            piece = c * (root ** (upto + 1) - 1.0) / (root - 1.0)
-        total += piece
-        scale = max(scale, abs(piece))
+    try:
+        for c, root in cf.terms:
+            if abs(root - 1.0) <= ROOT_SEPARATION:
+                piece = c * (upto + 1)
+            else:
+                piece = c * (root ** (upto + 1) - 1.0) / (root - 1.0)
+            total += piece
+            scale = max(scale, abs(piece))
+        if not cmath.isfinite(total):
+            raise OverflowError
+    except OverflowError:
+        raise ArithmeticError(f"a_0 + ... + a_n leaves the double range at n={upto}") from None
     if abs(total.imag) > RESIDUE_TOLERANCE * scale:
         raise ArithmeticError(f"imaginary residue {total.imag:g} in partial sum")
     return total.real

@@ -94,8 +94,14 @@ def _products(f, g, order: int, zero) -> list:
     return out
 
 
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise ValueError("order must be >= 1")
+
+
 def multiply_series(f: PowerSeries, g: PowerSeries, order: int) -> PowerSeries:
     """Product f*g truncated at the given degree."""
+    _check_order(order)
     if _is_exact(f.coefficients, g.coefficients):
         (fn, fd), (gn, gd) = _clear_denominators(f.coefficients), _clear_denominators(g.coefficients)
         return _over(_products(fn, gn, order, 0), fd * gd)
@@ -163,8 +169,7 @@ def raise_series(s: PowerSeries, p: int, order: int) -> PowerSeries:
     """
     if p < 1:
         raise ValueError("power must be >= 1")
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_order(order)
     # c[e] = a_e, and 0 past the truncation order, as s.coefficient(e) gives
     pad = [0] * (order - s.order)
     if _is_exact(s.coefficients):
@@ -200,6 +205,7 @@ def compose_series(f: PowerSeries, g: PowerSeries, order: int) -> PowerSeries:
     f = F/D and g = G/E over integers, E^j g^j = G^j is integral, so f_j g^j
     is F_j E^(order - j) G^j over the one denominator D E^order.
     """
+    _check_order(order)
     if _is_exact(f.coefficients, g.coefficients):
         fn, fd = _clear_denominators(f.coefficients[:order])
         gn, gd = _clear_denominators(g.coefficients[:order])
@@ -226,11 +232,12 @@ def revert_series(s: PowerSeries, order: int) -> PowerSeries:
     but rounds differently.)  Exact series take the same rows in integers,
     see _revert_integers.
     """
+    _check_order(order)
     a1 = s.coefficient(1)
     if a1 == 0:
         raise ValueError("series with zero linear coefficient is not invertible")
     if _is_exact(s.coefficients):
-        numerators, den = _clear_denominators(s.coefficients[: max(order, 1)])
+        numerators, den = _clear_denominators(s.coefficients[:order])
         a = numerators[0]
         scaled = _revert_integers(numerators, order)
         return PowerSeries(tuple(Fraction(bm * den**m, a ** (2 * m - 1)) for m, bm in enumerate(scaled, 1)))

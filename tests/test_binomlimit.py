@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,11 +19,9 @@ from demoivre.binomlimit import (
     demoivre_term,
     exact_central_probability,
     limit_central_probability,
-    limit_tail_probability,
     remark1_fraction,
     sample_size,
     simulate_band,
-    stirling_log_factorial,
 )
 
 HALF = Fraction(1, 2)
@@ -239,16 +238,6 @@ def test_demoivre_term_riemann_sum_consistency():
         previous = err
 
 
-def test_stirling_form_tracks_exact_log_factorial():
-    for n in (10, 100, 1000):
-        exact = math.lgamma(n + 1)
-        assert abs(stirling_log_factorial(n) - exact) < 1 / (12 * n) + 1e-12
-    # the central-term prefactor is the fully reduced Stirling expression
-    n = 10_000
-    reduced = math.exp(stirling_log_factorial(n) - 2 * stirling_log_factorial(n / 2) - n * math.log(2))
-    assert reduced == pytest.approx(2 / math.sqrt(2 * math.pi * n), rel=1e-9)
-
-
 def test_limit_values_against_erf_oracle():
     for c in (0.5, 1.0, 2.0, 3.0):
         oracle = math.erf(c / math.sqrt(2))  # P(|Z| <= c) for standard normal
@@ -256,11 +245,6 @@ def test_limit_values_against_erf_oracle():
     assert limit_central_probability(1.0) == pytest.approx(0.682688, abs=1e-5)
     assert limit_central_probability(2.0) == pytest.approx(0.954500, abs=1e-5)
     assert limit_central_probability(1e-8) < 1e-7
-
-
-def test_limit_band_plus_tail_is_one():
-    for c in (0.3, 1.0, 2.5):
-        assert abs(limit_central_probability(c) + limit_tail_probability(c) - 1.0) < 1e-10
 
 
 @settings(max_examples=400, deadline=None)
@@ -293,38 +277,25 @@ def test_limit_stays_in_unit_interval_at_large_c(c):
         assert value == 1.0
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=5e-324, max_value=1e300))
-@example(0.15497050648743405)
+@settings(max_examples=400, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=2 * GAUSS_CUTOFF))
 @example(1.0)
-@example(2 * GAUSS_CUTOFF)
-@example(40.0)
-def test_tail_against_erfc(c):
-    assert abs(limit_tail_probability(c) - math.erfc(c / math.sqrt(2))) <= 1e-12
+@example(2.0)
+@example(3.0)
+@example(7.38649845916739)  # QUADPACK stops a bisection early: 126 ulp, 1.4e-14
+def test_limit_against_mpmath_erf(c):
+    """The test of record without scipy: within 5 ulp of erf(c/sqrt(2)) at 40 digits, or within 1e-13.
 
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=5e-324, max_value=37.0))
-@example(10.0)  # 2.5e-4 off relative while the tail had only an absolute tolerance
-@example(20.0)  # 2.1e-3 off
-@example(36.57539433135964)
-@example(37.0)
-def test_tail_against_erfc_relative(c):
-    exact = math.erfc(c / math.sqrt(2))
-    assert abs(limit_tail_probability(c) - exact) <= 1e-12 * exact
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=5e-324, max_value=45.0))
-@example(10.0)
-@example(20.0)
-@example(36.57539433135964)
-@example(40.0)
-def test_tail_matches_quadpack_bit_for_bit(c):
-    """The tail against scipy's QUADPACK, at relative accuracy alone as the port integrates it."""
-    integrate = pytest.importorskip("scipy.integrate")
-    value, _ = integrate.quad(_gauss_kernel, c / 2, max(c / 2, 20), epsabs=0, epsrel=1e-13)
-    assert limit_tail_probability(c) == min(2.0 * value, 1.0)
+    1e-13 is the absolute tolerance QAGS integrates to.  Near 1 it is the
+    looser bound, and it is needed: over c in about [7.386490, 7.386499]
+    QAGS (the port and scipy's QUADPACK alike) stops after two
+    bisections, 126 to 256 ulp off, and elsewhere above c = 5 a value is
+    up to 5.7 ulp off.
+    """
+    with mpmath.workdps(40):
+        exact = mpmath.erf(mpmath.mpf(c) / mpmath.sqrt(2))
+        error = abs(mpmath.mpf(limit_central_probability(c)) - exact)
+    assert error <= max(5 * math.ulp(float(exact)), 1e-13)
 
 
 def dqpsrt(order, errors, maxerr, last):
@@ -375,7 +346,7 @@ def test_dqpsrt_head_is_the_largest_error_and_rank(bisections):
 
 
 def test_gauss_integrals_stay_within_the_sorted_bisections(monkeypatch):
-    """The precondition of the (error, rank) pick: neither Gauss integral passes 26 bisections.
+    """The precondition of the (error, rank) pick: the band integral never passes 26 bisections.
 
     A 21-point rule evaluates the kernel 21 times, and each bisection
     applies it twice, so a call that evaluates it 21 * (1 + 2m) times has
@@ -391,12 +362,11 @@ def test_gauss_integrals_stay_within_the_sorted_bisections(monkeypatch):
     monkeypatch.setattr(binomlimit, "_gauss_kernel", counted)
     grid = [k / 16 for k in range(1, 16 * 60)] + [10.0 ** (e / 4) for e in range(-4 * 320, 4 * 3)]
     for c in grid:
-        for integral in (limit_central_probability, limit_tail_probability):
-            evaluations = 0
-            integral(c)
-            rules, rest = divmod(evaluations, 21)
-            assert rest == 0 and rules % 2 == 1
-            assert (rules - 1) // 2 <= _QUAD_LIMIT // 2 + 1, (integral.__name__, c)
+        evaluations = 0
+        limit_central_probability(c)
+        rules, rest = divmod(evaluations, 21)
+        assert rest == 0 and rules % 2 == 1
+        assert (rules - 1) // 2 <= _QUAD_LIMIT // 2 + 1, c
 
 
 def test_quadrature_gives_up_after_fifty_subintervals():
@@ -573,5 +543,3 @@ def test_non_finite_band_multiplier_is_rejected(c):
         exact_central_probability(TrialSpec(100, HALF), c)
     with pytest.raises(ValueError, match="band multiplier c"):
         limit_central_probability(c)
-    with pytest.raises(ValueError, match="band multiplier c"):
-        limit_tail_probability(c)

@@ -8,7 +8,6 @@ from demoivre.conics import (
     centripetal_force,
     focal_product,
     inverse_square_constant,
-    orbit_point,
     radius_of_curvature,
 )
 
@@ -58,13 +57,6 @@ def test_force_and_inverse_square_equal_the_two_evaluation_route(e):
     for i in range(64):
         theta = -7.0 + 0.23 * i
         assert centripetal_force(e, theta) == two_evaluation_force(e, theta)[0]
-
-
-def test_orbit_point_on_ellipse():
-    e = Ellipse(3.0, 1.5)
-    for theta in (0.0, 0.7, math.pi / 2, 2.9):
-        x, y = orbit_point(e, theta).position
-        assert (x / e.a) ** 2 + (y / e.b) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_focal_product_circle():

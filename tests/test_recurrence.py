@@ -127,6 +127,32 @@ def test_partial_sum_matches_accumulation():
         assert abs(partial_sum(rec, 40) - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["recur", "eval", "--coeffs", "1e300", "--init", "1", "--n", "5"], 5),  # was "nan", exit 0
+        (["recur", "sum", "--coeffs", "1e300", "--init", "1", "--upto", "5"], 5),
+        (["recur", "eval", "--coeffs", "2", "--init", "1", "--n", "1100"], 1100),  # was a raw OverflowError
+        (["recur", "sum", "--coeffs", "2", "--init", "1", "--upto", "1023"], 1023),
+    ],
+)
+def test_recurrence_out_of_double_range_exits_3_naming_n(argv, n):
+    code, out, err = cli.dispatch(argv)
+    assert (code, out) == (3, "")
+    assert f"n={n}" in err
+    assert "nan" not in err
+
+
+def test_recurrence_at_the_edge_of_double_range_keeps_its_bits():
+    for argv in (
+        ["recur", "eval", "--coeffs", "2", "--init", "1", "--n", "1023"],
+        ["recur", "sum", "--coeffs", "2", "--init", "1", "--upto", "1022"],
+    ):
+        code, out, _ = cli.dispatch(argv)
+        assert code == 0
+        assert float(json.loads(out)["result"]) == 2.0**1023
+
+
 def test_recurrence_validation():
     with pytest.raises(ValueError):
         Recurrence((1.0, 0.0), (1.0, 2.0))  # b_k = 0

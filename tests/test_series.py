@@ -286,6 +286,22 @@ def test_revert_rejects_zero_linear_term():
         revert_series(s, 4)
 
 
+@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda s, order: raise_series(s, 2, order),
+        revert_series,
+        lambda s, order: compose_series(s, s, order),
+        lambda s, order: multiply_series(s, s, order),
+    ],
+    ids=["raise", "revert", "compose", "multiply"],
+)
+def test_series_operations_refuse_order_below_one(kernel, order):
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        kernel(series_from_rationals([0, 1, 2]), order)
+
+
 small_rationals = st.one_of(
     st.just(Fraction(0)),
     st.fractions(min_value=-20, max_value=20, max_denominator=12),
