@@ -2,12 +2,13 @@
 
 Central-band masses P(|X - np| <= c*sqrt(n)/2) are summed exactly in
 rational arithmetic up to n = 4096 (2^n denominators stay affordable
-there) and in compensated floating point above.  One kernel, `_band_sum`,
-takes every exact band sum, for the central band and for the sample-size
-scan alike: an integer recurrence steps each binomial coefficient from the
-last and accumulates the terms by Horner's rule, so a band takes one
-binomial coefficient and two big powers in all, not a coefficient and
-two powers per term.  It returns d^n times the mass of p = a/d as an
+there) and above as floats: an lgamma-anchored term, ratio walks out
+from it, and one math.fsum.  One kernel, `_band_sum`, takes every exact
+band sum, for the central band and for the sample-size scan alike: an
+integer recurrence steps each binomial coefficient from the last and
+accumulates the terms by Horner's rule, so a band takes one binomial
+coefficient and two big powers in all, not a coefficient and two powers
+per term.  It returns d^n times the mass of p = a/d as an
 integer: the central band divides it by d^n once, and the sample-size
 scan compares it with d^n (1 - alpha) in integers, so that scan takes
 its band edges by integer division and builds no Fraction per n.
@@ -25,6 +26,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, islice
+from operator import mul
 
 from .exactnum import binomial_coefficient
 
@@ -42,9 +45,9 @@ GAUSS_CUTOFF = 4.1875
 class TrialSpec:
     """n independent trials with success probability p (default 1/2).
 
-    A float p is taken as the decimal it prints as, Fraction(repr(p)): 0.3
-    is 3/10, not its binary value, whose 2^54 denominator would pass into
-    every exact band sum.  The float of that Fraction is p again.
+    p is kept as a Fraction, a float p as the decimal it prints as (0.3 is
+    3/10, not its binary value, whose 2^54 denominator would pass into every
+    exact band sum), as sample_size takes it.  Its float is p again.
     """
 
     n: int
@@ -55,8 +58,7 @@ class TrialSpec:
             raise ValueError("need at least one trial")
         if not 0 < self.p < 1:
             raise ValueError("success probability must lie strictly in (0, 1)")
-        if isinstance(self.p, float):
-            object.__setattr__(self, "p", Fraction(repr(float(self.p))))
+        object.__setattr__(self, "p", _exact_input(self.p, "p"))
 
 
 def _check_multiplier(c) -> None:
@@ -79,7 +81,7 @@ def band_bounds(spec: TrialSpec, c: float):
     half_width = c * math.sqrt(spec.n) / 2
     if math.isinf(half_width):
         return 0, spec.n
-    mu = spec.n * Fraction(spec.p)
+    mu = spec.n * spec.p
     half_width = Fraction(half_width)
     lo = max(0, math.ceil(mu - half_width))
     hi = min(spec.n, math.floor(mu + half_width))
@@ -90,12 +92,12 @@ def exact_central_probability(spec: TrialSpec, c: float):
     """Sum of binomial masses over the inclusive central band.
 
     Returns an exact Fraction for n <= 4096 (p is used exactly, a float p
-    as the decimal TrialSpec makes of it), a compensated float at most 1
-    above.
+    as the decimal TrialSpec makes of it); above, an lgamma-anchored float
+    sum capped at 1, within about eps n ln n of the mass, relatively.
     """
     lo, hi = band_bounds(spec, c)
     if spec.n <= RATIONAL_LIMIT:
-        return _band_mass(spec.n, Fraction(spec.p), lo, hi)
+        return _band_mass(spec.n, spec.p, lo, hi)
     if lo > hi:
         return 0.0
     return _band_probability_float(spec.n, float(spec.p), lo, hi)
@@ -128,48 +130,23 @@ def _band_sum(n: int, a: int, q: int, lo: int, hi: int) -> int:
 
 
 def _band_probability_float(n, p, lo, hi):
-    # terms by two-sided recursion from the in-band mode, anchored by lgamma;
-    # Neumaier summation keeps the summation's own error near one ulp.  The
-    # anchor's is larger: lgamma(n + 1) ~ n ln(n) is rounded to about
-    # eps * n * ln(n) absolute, which exp makes the relative error of every
-    # term (8.6e3 ulp at n = 5000, 3.2e5 ulp at n = 10^5, c = 1, p = 1/2).
+    # exp(lgamma) anchors the in-band mode km, ratio walks step out from it,
+    # and math.fsum rounds the sum of the terms once.  The anchor's log is off
+    # by about eps * S absolute, S the sum of the magnitudes of its five parts
+    # (three lgammas, km |ln p|, (n - km) |ln q|), and exp makes that the
+    # relative error of every term; each walk step adds about 2 eps.  So the
+    # relative error is about eps * (S + 2 (hi - lo + 1)), which grows like
+    # eps n ln n (8.6e3 ulp at n = 5000, 3.2e5 ulp at n = 10^5, c = 1, p = 1/2).
     # It can lift a band near the whole row past 1 (n = 5000, every count:
     # 1.000000000001398), so the sum is capped at 1.
     q = 1.0 - p
-
-    def logpmf(k):
-        return (
-            math.lgamma(n + 1)
-            - math.lgamma(k + 1)
-            - math.lgamma(n - k + 1)
-            + k * math.log(p)
-            + (n - k) * math.log(q)
-        )
-
     km = min(max(lo, int(n * p)), hi)
-    total = 0.0
-    comp = 0.0
-
-    def add(x):
-        nonlocal total, comp
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-
-    anchor = math.exp(logpmf(km))
-    add(anchor)
-    term = anchor
-    for k in range(km + 1, hi + 1):
-        term *= (n - k + 1) / k * (p / q)
-        add(term)
-    term = anchor
-    for k in range(km - 1, lo - 1, -1):
-        term *= (k + 1) / (n - k) * (q / p)
-        add(term)
-    return min(1.0, total + comp)
+    anchor = math.exp(math.lgamma(n + 1) - math.lgamma(km + 1) - math.lgamma(n - km + 1)
+                      + km * math.log(p) + (n - km) * math.log(q))
+    up = ((n - k + 1) / k * (p / q) for k in range(km + 1, hi + 1))
+    down = ((k + 1) / (n - k) * (q / p) for k in range(km - 1, lo - 1, -1))
+    terms = chain(accumulate(up, mul, initial=anchor), islice(accumulate(down, mul, initial=anchor), 1, None))
+    return min(1.0, math.fsum(terms))
 
 
 def demoivre_term(n: int, l: int) -> float:

@@ -103,9 +103,6 @@ class Odds:
             object.__setattr__(self, "favor", self.favor // g)
             object.__setattr__(self, "against", self.against // g)
 
-    def __str__(self):
-        return f"{self.favor}:{self.against}"
-
 
 def odds_from_probability(p: Fraction) -> Odds:
     """Reduced odds for an event of rational probability p in [0, 1].

@@ -46,6 +46,7 @@ class PowerSeries:
         return self.coefficients[degree - 1]
 
     def truncate(self, order: int) -> "PowerSeries":
+        _check_order(order)
         coeffs = list(self.coefficients[:order])
         while len(coeffs) < order:
             coeffs.append(_zero_like(self.coefficients[0]))

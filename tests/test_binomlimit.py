@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -177,7 +178,8 @@ def test_band_with_overflowing_half_width_takes_every_count():
 
 
 def test_float_band_stays_at_most_one():
-    # the lgamma-anchored sum of the whole row at n = 5000 is 1.000000000001398 uncapped
+    # the whole row at n = 5000 sums to 1.000000000001398 uncapped: 6296 eps
+    # above 1, the anchor's error, well inside the float band's stated bound
     for c in (1000, 1e308):
         assert exact_central_probability(TrialSpec(5000, HALF), c) == 1.0
 
@@ -204,13 +206,35 @@ def test_band_convergence_decreasing():
     assert all(a > b for a, b in zip(errors, errors[1:]))
 
 
-def test_float_path_tracks_rational_path():
-    # the compensated-summation route must agree with the exact one at the
-    # rational cutoff scale
-    exact = float(exact_central_probability(TrialSpec(4096, HALF), 1))
-    big = exact_central_probability(TrialSpec(4098, HALF), 1)
-    assert isinstance(big, float)
-    assert abs(big - exact) < 5e-3
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(4097, 30_000),
+    st.integers(2, 1000).flatmap(lambda d: st.builds(Fraction, st.integers(1, d - 1), st.just(d))),
+    st.floats(0.05, 10),
+)
+@example(100_000, HALF, 1.0)
+@example(100_000, Fraction(1, 4), 1.0)
+def test_float_band_is_within_its_stated_error_bound(n, p, c):
+    # the test of record for n > 4096: the float route against the exact mass
+    # of the same band, within twice the bound _band_probability_float states,
+    # eps (S + 2 (hi - lo + 1)) relatively; eps n ln n alone is too tight
+    # (the error reached 1.47 times it at n = 28341, p = 181/223, c = 0.34)
+    spec = TrialSpec(n, p)
+    value = exact_central_probability(spec, c)
+    assert isinstance(value, float)
+    lo, hi = band_bounds(spec, c)
+    exact = float(_band_mass(n, p, lo, hi))
+    p = float(p)
+    km = min(max(lo, int(n * p)), hi)
+    anchor_parts = (
+        math.lgamma(n + 1),
+        math.lgamma(km + 1),
+        math.lgamma(n - km + 1),
+        km * math.log(p),
+        (n - km) * math.log(1.0 - p),
+    )
+    bound = sys.float_info.epsilon * (sum(map(abs, anchor_parts)) + 2 * (hi - lo + 1))
+    assert abs(value - exact) <= 2 * bound * exact
 
 
 def test_demoivre_term_center():

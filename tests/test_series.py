@@ -286,7 +286,7 @@ def test_revert_rejects_zero_linear_term():
         revert_series(s, 4)
 
 
-@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize("order", [0, -1, -2])
 @pytest.mark.parametrize(
     "kernel",
     [
@@ -294,8 +294,9 @@ def test_revert_rejects_zero_linear_term():
         revert_series,
         lambda s, order: compose_series(s, s, order),
         lambda s, order: multiply_series(s, s, order),
+        PowerSeries.truncate,
     ],
-    ids=["raise", "revert", "compose", "multiply"],
+    ids=["raise", "revert", "compose", "multiply", "truncate"],
 )
 def test_series_operations_refuse_order_below_one(kernel, order):
     with pytest.raises(ValueError, match="order must be >= 1"):
