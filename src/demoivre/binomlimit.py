@@ -364,6 +364,8 @@ def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int, workers: int 
     """
     if reps < 1:
         raise ValueError("need at least one replication")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if workers is not None and not 0 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in 0..{MAX_WORKERS}, got {workers}")
     import numpy as np

@@ -10,7 +10,8 @@ survivors l_x, l_{x+1}, ... backwards in exact integers -- survivor counts
 and the discount factor convert exactly -- and yields the price at every
 age of the run in one pass.  Each price is one correctly rounded integer
 division, the same float as the exact rational sum, so prices are
-deterministic to the last bit for a given table, age and rate.
+deterministic to the last bit for a given table, age and rate; a price
+past the double range is an OverflowError naming its age.
 
 The bundled Breslau-style table starts from 646 survivors at age 12 and
 follows the narrative death schedule (6 a year to 25, 7 to 29, 8 to 34,
@@ -241,11 +242,20 @@ def _present_values(run, v: Fraction):
     return out
 
 
+def _price(entry, *ages: int) -> float:
+    """R / D of one _present_values entry; a price past the double range names its ages."""
+    r, d = entry
+    try:
+        return r / d
+    except OverflowError:
+        named = " and ".join(map(str, ages))
+        raise OverflowError(f"annuity price at age {named} leaves the double range") from None
+
+
 def annuity_value(model, x: int, rate: RateSpec) -> float:
     """Curtate annuity-immediate price: sum over t >= 1 of v^t * survival(x, t)."""
     survival_probability(model, x, 0)  # age validation
-    r, d = _present_values(_survival_run(model, x), rate.v)[0]
-    return r / d
+    return _price(_present_values(_survival_run(model, x), rate.v)[0], x)
 
 
 def joint_annuity_value(model_a, x: int, model_b, y: int, rate: RateSpec) -> float:
@@ -254,8 +264,7 @@ def joint_annuity_value(model_a, x: int, model_b, y: int, rate: RateSpec) -> flo
     survival_probability(model_b, y, 0)
     # the product run ends with the shorter of the two lives' runs
     both = map(mul, _survival_run(model_a, x), _survival_run(model_b, y))
-    r, d = _present_values(both, rate.v)[0]
-    return r / d
+    return _price(_present_values(both, rate.v)[0], x, y)
 
 
 def approximation_error_table(table: LifeTable, ages, rates):
@@ -284,11 +293,9 @@ def approximation_error_table(table: LifeTable, ages, rates):
         row = []
         for age in ages:
             survival_probability(law, age, 0)
-            r, d = law_prices[age - law_from]
-            approx = r / d
+            approx = _price(law_prices[age - law_from], age)
             survival_probability(table, age, 0)
-            r, d = table_prices[age - table_from]
-            true = r / d
+            true = _price(table_prices[age - table_from], age)
             if true == 0:
                 raise MortalityDomainError(f"tabular annuity at age {age} is zero")
             row.append(100.0 * (approx / true - 1.0))

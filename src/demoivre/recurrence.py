@@ -1,9 +1,10 @@
 """Linearly recurring series, duration of play, and circle-division factors.
 
-A recurrence a_n = b_1 a_{n-1} + ... + b_k a_{n-k} with pairwise distinct
+A recurrence a_n = b_1 a_{n-1} + ... + b_k a_{n-k} with distinct
 characteristic roots decomposes into k geometric progressions; partial sums
-then reduce to per-root geometric sums.  Repeated roots are rejected
-outright rather than extended to polynomial-in-n terms.
+then reduce to per-root geometric sums.  Repeated roots, and the clusters
+np.roots returns for them (about eps^(1/m) apart for an m-fold root),
+are rejected outright rather than extended to polynomial-in-n terms.
 
 Duration of play: for two players holding b stakes each, the probability
 that play lasts beyond n games has the closed form
@@ -19,6 +20,7 @@ oracle and also covers odd b and odd n.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -48,6 +50,11 @@ class Recurrence:
             raise ValueError("need exactly as many initial terms as coefficients")
         if self.coefficients[-1] == 0:
             raise ValueError("trailing coefficient b_k must be nonzero (true order)")
+        named = (("coefficient b", self.coefficients, 1), ("initial term a", self.initial_terms, 0))
+        for name, values, first in named:
+            for i, x in enumerate(values, start=first):
+                if not math.isfinite(x):
+                    raise ValueError(f"{name}_{i} must be finite, got {x!r}")
 
     @property
     def order(self) -> int:
@@ -68,7 +75,6 @@ class ClosedForm:
 def iterate_terms(r: Recurrence, count: int):
     """First count terms by direct iteration (the oracle route)."""
     out = list(r.initial_terms)
-    k = r.order
     while len(out) < count:
         nxt = sum(b * out[-i - 1] for i, b in enumerate(r.coefficients))
         out.append(nxt)
@@ -78,76 +84,66 @@ def iterate_terms(r: Recurrence, count: int):
 def solve_recurrence(r: Recurrence) -> ClosedForm:
     """Decompose into geometric terms via the characteristic roots.
 
-    Roots come from the companion matrix; the linear system matching the
-    initial terms is a Vandermonde solve.  Near-repeated roots (pairwise
-    distance <= 1e-8) raise DegenerateSpectrumError.
+    Roots come from the companion matrix and the coefficients from a
+    Vandermonde solve; a root power past the double range is refused.  When
+    eps * cond of that matrix, columns scaled to unit max, exceeds
+    RESIDUE_TOLERANCE, the roots are repeated or clustered ((x-1)^3 gives
+    roots 1.1e-5 apart) and DegenerateSpectrumError names the closest pair.
     """
     import numpy as np
 
     k = r.order
-    poly = [1.0] + [-b for b in r.coefficients]
-    roots = np.roots(poly)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(roots[i] - roots[j]) <= ROOT_SEPARATION:
-                raise DegenerateSpectrumError(
-                    f"characteristic roots {roots[i]:.6g} and {roots[j]:.6g} are not separated"
-                )
-    vander = np.array([[roots[j] ** n for j in range(k)] for n in range(k)], dtype=complex)
+    roots = np.roots([1.0] + [-b for b in r.coefficients])
+    with np.errstate(over="ignore"):  # an overflowed power is refused just below
+        vander = np.array([[roots[j] ** n for j in range(k)] for n in range(k)], dtype=complex)
+    if not np.isfinite(vander).all():
+        raise ArithmeticError(f"characteristic root {max(roots, key=abs):.6g} to the power {k - 1} overflows a double")
+    if np.linalg.cond(vander / abs(vander).max(axis=0)) * sys.float_info.epsilon > RESIDUE_TOLERANCE:
+        a, b = min(itertools.combinations(roots, 2), key=lambda pair: abs(pair[0] - pair[1]))
+        raise DegenerateSpectrumError(f"characteristic roots {a:.6g} and {b:.6g} are not separated")
     coeffs = np.linalg.solve(vander, np.array(r.initial_terms, dtype=complex))
     return ClosedForm(tuple((coeffs[j], roots[j]) for j in range(k)), realness=True)
 
 
-def eval_closed_form(cf: ClosedForm, n: int) -> float:
-    """Sum coefficient * root^n; imaginary residue checked, then dropped.
+def _real_sum(pieces, realness: bool, what: str, n: int) -> float:
+    """Real part of the sum of the complex pieces, which are formed here.
 
-    A sum past the double range is an ArithmeticError naming n.
+    An overflow or a non-finite sum is an ArithmeticError: `what` leaves the
+    double range at n.  When realness holds, an imaginary part above
+    RESIDUE_TOLERANCE * max(1, max |piece|) is refused; else it is dropped.
     """
-    if n < 0:
-        raise ValueError("index must be non-negative")
     try:
-        terms = [c * r**n for c, r in cf.terms]
-        total = sum(terms)
+        pieces = list(pieces)
+        total = sum(pieces)
         if not cmath.isfinite(total):
             raise OverflowError
     except OverflowError:
-        raise ArithmeticError(f"a_n leaves the double range at n={n}") from None
-    if cf.realness:
-        scale = max(1.0, sum(abs(t) for t in terms))
-        if abs(total.imag) > RESIDUE_TOLERANCE * scale:
-            raise ArithmeticError(
-                f"imaginary residue {total.imag:g} exceeds tolerance at n={n}"
-            )
+        raise ArithmeticError(f"{what} leaves the double range at n={n}") from None
+    if realness and abs(total.imag) > RESIDUE_TOLERANCE * max([1.0, *map(abs, pieces)]):
+        raise ArithmeticError(f"imaginary residue {total.imag:g} exceeds tolerance at n={n}")
     return total.real
+
+
+def eval_closed_form(cf: ClosedForm, n: int) -> float:
+    """Sum of coefficient * root^n; _real_sum refuses an overflow or residue, naming n."""
+    if n < 0:
+        raise ValueError("index must be non-negative")
+    return _real_sum((c * r**n for c, r in cf.terms), cf.realness, "a_n", n)
 
 
 def partial_sum(r: Recurrence, upto: int) -> float:
     """Sum of a_0 .. a_upto from per-root geometric sums.
 
     A root within 1e-8 of 1 contributes coefficient*(upto+1); any other
-    root contributes coefficient*(root^(upto+1) - 1)/(root - 1).  A sum
-    past the double range is an ArithmeticError naming n = upto.
+    root contributes coefficient*(root^(upto+1) - 1)/(root - 1).  _real_sum
+    refuses an overflow or imaginary residue, naming n = upto.
     """
     if upto < 0:
         raise ValueError("index must be non-negative")
     cf = solve_recurrence(r)
-    total = 0j
-    scale = 1.0
-    try:
-        for c, root in cf.terms:
-            if abs(root - 1.0) <= ROOT_SEPARATION:
-                piece = c * (upto + 1)
-            else:
-                piece = c * (root ** (upto + 1) - 1.0) / (root - 1.0)
-            total += piece
-            scale = max(scale, abs(piece))
-        if not cmath.isfinite(total):
-            raise OverflowError
-    except OverflowError:
-        raise ArithmeticError(f"a_0 + ... + a_n leaves the double range at n={upto}") from None
-    if abs(total.imag) > RESIDUE_TOLERANCE * scale:
-        raise ArithmeticError(f"imaginary residue {total.imag:g} in partial sum")
-    return total.real
+    pieces = (c * (upto + 1) if abs(root - 1.0) <= ROOT_SEPARATION else c * (root ** (upto + 1) - 1.0) / (root - 1.0)
+              for c, root in cf.terms)
+    return _real_sum(pieces, cf.realness, "a_0 + ... + a_n", upto)
 
 
 @dataclass(frozen=True)
@@ -290,29 +286,18 @@ def _polymul(a, b):
 def factor_unity(n: int, sign: int) -> UnityFactorization:
     """Split x^n + 1 or x^n - 1 into real linear and quadratic factors.
 
-    The n-th roots sit on the unit circle at angles (2k-1)pi/n (sign +1)
-    or 2k*pi/n (sign -1); conjugate pairs collapse to
-    x^2 - 2x*cos(theta) + 1 and the real roots +-1 stay linear.
+    The roots sit on the unit circle at angles m*pi/n, m odd for x^n + 1
+    and even for x^n - 1; conjugate pairs (0 < m < n) collapse to
+    x^2 - 2x*cos(theta) + 1 and the real roots +-1 (m = 0 or n) stay linear.
     """
     if n < 1:
         raise ValueError("degree must be positive")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 (x^n + 1) or -1 (x^n - 1)")
-    linear = []
-    cosines = []
-    if sign == -1:
-        linear.append(1.0)
-        if n % 2 == 0:
-            linear.append(-1.0)
-        for k in range(1, (n + 1) // 2):
-            cosines.append(math.cos(2 * math.pi * k / n))
-    else:
-        if n % 2 == 1:
-            linear.append(-1.0)
-        pairs = n // 2
-        for k in range(1, pairs + 1):
-            cosines.append(math.cos((2 * k - 1) * math.pi / n))
-    return UnityFactorization(n, sign, tuple(linear), tuple(cosines))
+    start = 1 if sign == 1 else 2
+    linear = tuple(-1.0 if m else 1.0 for m in (0, n) if m % 2 == start % 2)
+    cosines = tuple(math.cos(m * math.pi / n) for m in range(start, n, 2))
+    return UnityFactorization(n, sign, linear, cosines)
 
 
 def demoivre_power(theta: float, n: int):

@@ -143,6 +143,9 @@ def test_non_finite_band_multiplier_exits_3(command, c):
         (["conic", "focal-product", "--a", "2", "--b", "1"], "theta", "angle theta must be finite"),
         (["conic", "curvature", "--a", "2", "--b", "1"], "theta", "angle theta must be finite"),
         (["conic", "force", "--a", "2", "--b", "1"], "theta", "angle theta must be finite"),
+        (["recur", "solve", "--init", "1"], "coeffs", "coefficient b_1 must be finite"),
+        (["recur", "eval", "--init", "1", "--n", "3"], "coeffs", "coefficient b_1 must be finite"),
+        (["recur", "sum", "--coeffs", "1", "--upto", "3"], "init", "initial term a_0 must be finite"),
     ],
 )
 def test_non_finite_argument_exits_3(command, flag, message, value):
@@ -308,6 +311,28 @@ def test_simulate_worker_count_out_of_range_exits_3(workers):
     assert code == 3
     assert out == ""
     assert "workers must lie in 0..32" in err
+
+
+def test_simulate_negative_seed_exits_3():
+    code, out, err = run(["binom", "simulate", "--n", "100", "--c", "1", "--reps", "10", "--seed", "-1"])
+    assert (code, out, err) == (3, "", "error: seed must be non-negative, got -1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, ages",
+    [
+        (["annuity", "value", "--maty", "--age", "12"], "12"),
+        (["annuity", "joint", "--maty", "--age-a", "12", "--age-b", "12"], "12 and 12"),
+        (["annuity", "error-table", "--maty", "--ages", "12"], "12"),
+        (["annuity", "value", "--law", "86", "--age", "0"], "0"),
+    ],
+)
+def test_annuity_price_past_the_double_range_exits_3_naming_the_age(argv, ages):
+    # at i = -0.9999 the discount factor is ~10^4: the price was a raw
+    # "integer division result too large for a float"
+    flag = "--rates" if "error-table" in argv else "--rate"
+    code, out, err = run(argv + [flag, "-0.9999"])
+    assert (code, out, err) == (3, "", f"error: annuity price at age {ages} leaves the double range\n")
 
 
 def test_malformed_table_file_is_domain_error(tmp_path):

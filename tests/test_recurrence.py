@@ -28,6 +28,14 @@ from demoivre.recurrence import (
 )
 
 
+def polynomial_from_roots(roots):
+    """Coefficients b_1 .. b_k of the recurrence whose characteristic roots are `roots`."""
+    poly = [1.0]
+    for r in roots:
+        poly = [a - r * b for a, b in zip(poly + [0.0], [0.0] + poly)]
+    return tuple(-c for c in poly[1:])
+
+
 def test_geometric_recurrence():
     r = Recurrence((2.0,), (1.0,))
     cf = solve_recurrence(r)
@@ -82,11 +90,7 @@ def test_random_recurrences_match_iteration():
             candidate = rng.uniform(-1.6, 1.6)
             if all(abs(candidate - r) > 0.15 for r in roots):
                 roots.append(candidate)
-        # characteristic polynomial from the chosen roots
-        poly = [1.0]
-        for r in roots:
-            poly = [a - r * b for a, b in zip(poly + [0.0], [0.0] + poly)]
-        coeffs = tuple(-c for c in poly[1:])
+        coeffs = polynomial_from_roots(roots)
         if coeffs[-1] == 0:
             continue
         init = tuple(rng.uniform(-3, 3) for _ in range(order))
@@ -116,10 +120,7 @@ def test_partial_sum_matches_accumulation():
             candidate = rng.uniform(-1.4, 1.4)
             if all(abs(candidate - r) > 0.2 for r in roots):
                 roots.append(candidate)
-        poly = [1.0]
-        for r in roots:
-            poly = [a - r * b for a, b in zip(poly + [0.0], [0.0] + poly)]
-        coeffs = tuple(-c for c in poly[1:])
+        coeffs = polynomial_from_roots(roots)
         if coeffs[-1] == 0:
             continue
         rec = Recurrence(coeffs, tuple(rng.uniform(-2, 2) for _ in range(order)))
@@ -151,6 +152,55 @@ def test_recurrence_at_the_edge_of_double_range_keeps_its_bits():
         code, out, _ = cli.dispatch(argv)
         assert code == 0
         assert float(json.loads(out)["result"]) == 2.0**1023
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [  # exited 0 with 9999.9857416152954, 338331.29992675781 and 124999.80337524414
+        ["recur", "eval", "--coeffs", "3,-3,1", "--init", "0,1,4", "--n", "100"],  # a_n = n^2
+        ["recur", "sum", "--coeffs", "3,-3,1", "--init", "0,1,4", "--upto", "100"],
+        ["recur", "eval", "--coeffs", "4,-6,4,-1", "--init", "0,1,8,27", "--n", "50"],  # a_n = n^3
+    ],
+)
+def test_clustered_roots_exit_3(argv):
+    code, out, err = cli.dispatch(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: characteristic roots ") and err.endswith(" are not separated\n")
+
+
+# np.roots splits an m-fold root by about eps^(1/m): a triple root at 1 came
+# back 1.1e-5 apart, past the old pairwise test, and a_n = n^2 printed
+# 9999.9857416152954 at n = 100.  Roots k/4 keep the coefficients exact, and
+# |root| <= 1 keeps a root whose coefficient should be 0 from growing its
+# rounding past the tolerance.
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(-4, 4).filter(bool), st.integers(1, 3)), min_size=1, max_size=3, unique_by=lambda t: t[0]
+    ),
+    st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+)
+@example([(4, 3)], [0, 1, 4, 0, 0, 0, 0, 0, 0])  # (x-1)^3
+@example([(4, 4)], [0, 1, 8, 27, 0, 0, 0, 0, 0])  # (x-1)^4
+@example([(-2, 2), (3, 1)], [1, -1, 2, 0, 0, 0, 0, 0, 0])
+def test_repeated_roots_are_refused_or_exact(roots, init):
+    coeffs = polynomial_from_roots([k / 4 for k, m in roots for _ in range(m)])
+    rec = Recurrence(coeffs, tuple(init[: len(coeffs)]))
+    try:
+        cf = solve_recurrence(rec)
+    except DegenerateSpectrumError:
+        return
+    terms = iterate_terms(rec, 41)
+    for n in range(41):
+        assert abs(eval_closed_form(cf, n) - terms[n]) <= 1e-9 * max(1.0, abs(terms[n]))
+
+
+def test_root_powers_past_the_double_range_are_refused():
+    # roots ~1e200, 3 and 0: the Vandermonde row of squares overflows, and the
+    # solve printed a closed form that missed a_2 = 1, with exit 0
+    code, out, err = cli.dispatch(["recur", "solve", "--coeffs", "1e200,-3e200,2e200", "--init", "1,1,1"])
+    assert (code, out) == (3, "")
+    assert err == "error: characteristic root 1e+200 to the power 2 overflows a double\n"
 
 
 def test_recurrence_validation():
