@@ -56,7 +56,7 @@ def canonical(value):
     if isinstance(value, Fraction):
         return f"{_decimal_str(value.numerator)}/{_decimal_str(value.denominator)}"
     if isinstance(value, Odds):
-        return f"{value.favor}:{value.against}"
+        return f"{_decimal_str(value.favor)}:{_decimal_str(value.against)}"
     if isinstance(value, complex):
         return [format(value.real, ".17g"), format(value.imag, ".17g")]
     if isinstance(value, (list, tuple)):

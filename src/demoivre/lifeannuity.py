@@ -7,11 +7,12 @@ the two models De Moivre priced with.  Either gives a run of positive
 survivor counts down to the last survivor.  Single-life, joint-life and
 error-table prices share one kernel, _present_values: it walks a run of
 survivors l_x, l_{x+1}, ... backwards in exact integers -- survivor counts
-and the discount factor convert exactly -- and yields the price at every
-age of the run in one pass.  Each price is one correctly rounded integer
-division, the same float as the exact rational sum, so prices are
-deterministic to the last bit for a given table, age and rate; a price
-past the double range is an OverflowError naming its age.
+and the discount factor convert exactly -- keeping the price only at each
+age asked for, so memory stays linear in the run's length.  Each price is
+one correctly rounded integer division, the same float as the exact
+rational sum, so prices are deterministic to the last bit for a given
+table, age and rate; a price past the double range is an OverflowError
+naming its age.
 
 The bundled Breslau-style table starts from 646 survivors at age 12 and
 follows the narrative death schedule (6 a year to 25, 7 to 29, 8 to 34,
@@ -180,28 +181,24 @@ def write_table_csv(table: LifeTable, handle):
         writer.writerow([age, value])
 
 
+def _check_age(model, x: int):
+    """Raise unless model is a LifeTable or a DeMoivreLaw with survivors at age x."""
+    if isinstance(model, LifeTable) and model.lookup(x) is None:
+        raise MortalityDomainError(f"age {x} outside table range {model.start_age}..{model.terminal_age}")
+    if isinstance(model, DeMoivreLaw) and x >= model.omega:
+        raise MortalityDomainError(f"age {x} is at or past the terminal age {model.omega}")
+    if not isinstance(model, (LifeTable, DeMoivreLaw)):
+        raise TypeError(f"unsupported mortality model {type(model).__name__}")
+
+
 def survival_probability(model, x: int, t: int) -> Fraction:
-    """P(a life aged x survives t more years) under a LifeTable or a DeMoivreLaw."""
+    """P(a life aged x survives t more years): l_{x+t} / l_x from the model's run, 0 past its end."""
     if t < 0:
         raise MortalityDomainError("horizon t must be non-negative")
-    if isinstance(model, LifeTable):
-        base = model.lookup(x)
-        if base is None:
-            raise MortalityDomainError(
-                f"age {x} outside table range {model.start_age}..{model.terminal_age}"
-            )
-        later = model.lookup(x + t)
-        if later is None:
-            return Fraction(0)
-        return Fraction(later) / Fraction(base)
-    if isinstance(model, DeMoivreLaw):
-        n = model.omega - x
-        if n <= 0:
-            raise MortalityDomainError(f"age {x} is at or past the terminal age {model.omega}")
-        if t >= n:
-            return Fraction(0)
-        return Fraction(n - t, n)
-    raise TypeError(f"unsupported mortality model {type(model).__name__}")
+    _check_age(model, x)
+    run = _survival_run(model, x)
+    later = run[t:t + 1]  # empty past the end of the run
+    return Fraction(later[0]) / Fraction(run[0]) if later else Fraction(0)
 
 
 def _survival_run(model, x: int):
@@ -216,29 +213,31 @@ def _survival_run(model, x: int):
     return range(model.omega - x, 0, -1)
 
 
-def _present_values(run, v: Fraction):
-    """Exact curtate annuity prices at every age of a survival run.
+def _present_values(run, v: Fraction, offsets=(0,)):
+    """Exact curtate annuity prices at the given offsets of a survival run.
 
     run holds l_x, l_{x+1}, ..., l_{x+n} (ints and Fractions, none zero).
-    Entry k of the result is a pair of ints (R, D) with
+    The result maps each offset k to a pair of ints (R, D) with
     R / D = sum over t >= 1 of v^t * l_{x+k+t} / l_{x+k}.  One lcm clears
     the run's denominators and v = P/Q, so the walk runs backwards in
     integers: R_k = P * (R_{k+1} + D_{k+1}), D_k = Q^(n-k) * l_{x+k}.
     No Fraction is built and no gcd is taken; R / D is an int/int true
     division, correctly rounded like float(Fraction), so it gives the same
-    bits as the rational sum.  Callers divide only the entries they need.
+    bits as the rational sum.  Each pair has O(n) digits and only the pairs
+    at offsets are kept, so memory stays linear in n.
     """
     ratios = [l.as_integer_ratio() for l in run]
     scale = math.lcm(*(den for _, den in ratios))
     p, q = v.as_integer_ratio()
-    out = []
+    out = dict.fromkeys(offsets)
     r, q_pow = 0, 1
-    for num, den in reversed(ratios):
+    for k in reversed(range(len(ratios))):
+        num, den = ratios[k]
         d = q_pow * num * (scale // den)
-        out.append((r, d))
+        if k in out:
+            out[k] = (r, d)
         r = p * (r + d)
         q_pow *= q
-    out.reverse()
     return out
 
 
@@ -254,14 +253,14 @@ def _price(entry, *ages: int) -> float:
 
 def annuity_value(model, x: int, rate: RateSpec) -> float:
     """Curtate annuity-immediate price: sum over t >= 1 of v^t * survival(x, t)."""
-    survival_probability(model, x, 0)  # age validation
+    _check_age(model, x)
     return _price(_present_values(_survival_run(model, x), rate.v)[0], x)
 
 
 def joint_annuity_value(model_a, x: int, model_b, y: int, rate: RateSpec) -> float:
     """Joint-life price: pays while both lives survive, independence assumed."""
-    survival_probability(model_a, x, 0)
-    survival_probability(model_b, y, 0)
+    _check_age(model_a, x)
+    _check_age(model_b, y)
     # the product run ends with the shorter of the two lives' runs
     both = map(mul, _survival_run(model_a, x), _survival_run(model_b, y))
     return _price(_present_values(both, rate.v)[0], x, y)
@@ -288,13 +287,13 @@ def approximation_error_table(table: LifeTable, ages, rates):
     grid = []
     for rate in rates:
         v = RateSpec(rate).v
-        law_prices = _present_values(law_run, v)
-        table_prices = _present_values(table_run, v)
+        law_prices = _present_values(law_run, v, [age - law_from for age in ages])
+        table_prices = _present_values(table_run, v, [age - table_from for age in ages])
         row = []
         for age in ages:
-            survival_probability(law, age, 0)
+            _check_age(law, age)
             approx = _price(law_prices[age - law_from], age)
-            survival_probability(table, age, 0)
+            _check_age(table, age)
             true = _price(table_prices[age - table_from], age)
             if true == 0:
                 raise MortalityDomainError(f"tabular annuity at age {age} is zero")

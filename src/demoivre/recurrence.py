@@ -181,30 +181,24 @@ def duration_exceeds_exact(spec: DurationSpec) -> float:
     clamped to at most 1, which rounding can pass (1.0000000000000056 at
     b = 100, p = 0.45, n = 100).
 
-    Games are taken two to a list pass, which returns to the start class:
-    the middle class's entry e is formed once, carried to the next element
-    and used there as its left neighbour.  The 0.0 walls become boundary
-    forms (p*0.0 + q*x is q*x and p*x + q*0.0 is p*x, as x >= +0.0), and
-    an odd n ends with one single game.
+    An odd start state (even b) first takes one walled game into the even
+    class.  Then games go two to a list pass, even -> odd -> even: each odd
+    entry e is carried to the next element as its left neighbour, and p*e is
+    p*e + q*0.0 at the right wall (e >= +0.0).  An odd remainder is one game.
     """
     p, q = spec.p, 1.0 - spec.p
     odd = spec.b % 2 == 0  # the start state b-1 is odd when b is even
     live = [0.0] * (spec.b - odd)
     live[(spec.b - 1) // 2] = 1.0
-    pairs, single = divmod(spec.n, 2)
-    if odd:  # odd -> even -> odd: the even class has q*a_0 and p*a_last at its ends
-        for _ in range(pairs):
-            e, end = q * live[0], p * live[-1]
-            live = [p * e + q * (e := p * a + q * c) for a, c in zip(live, live[1:])]
-            live.append(p * e + q * end)
-    else:  # even -> odd -> even: the odd class is walled with 0.0 at each end
-        for _ in range(pairs):
-            e = 0.0
-            live = [p * e + q * (e := p * a + q * c) for a, c in zip(live, live[1:])]
-            live.append(p * e)
+    games = spec.n
+    if odd and games:
+        live, games = [p * a + q * c for a, c in zip([0.0, *live], [*live, 0.0])], games - 1
+    pairs, single = divmod(games, 2)
+    for _ in range(pairs):
+        e = 0.0
+        live = [p * e + q * (e := p * a + q * c) for a, c in zip(live, live[1:])]
+        live.append(p * e)
     if single:
-        if odd:
-            live = [0.0, *live, 0.0]
         live = [p * a + q * c for a, c in zip(live, live[1:])]
     return min(math.fsum(live), 1.0)
 

@@ -115,6 +115,21 @@ EDGE_INVOCATIONS = [
     ["games", "tour", "--start", "z9"],
     ["games", "validate", "--squares", "a1 b3"],
     ["conic", "force", "--a", "1e308", "--b", "0.5", "--theta", "0.5"],
+    ["binom", "term", "--n", "0", "--l", "0"],
+    ["binom", "term", "--n", "10", "--l", "-1"],
+    ["binom", "remark1", "--n", "0"],
+    ["binom", "sample-size", "--p", "0", "--c", "1/10", "--alpha", "1/10"],
+    ["binom", "sample-size", "--p", "1/2", "--c", "0", "--alpha", "1/10"],
+    ["binom", "sample-size", "--p", "1/2", "--c", "1/10", "--alpha", "1"],
+    ["binom", "simulate", "--n", "100", "--c", "1", "--reps", "0", "--seed", "1"],
+    ["num", "binom", "--n", "-1", "--k", "0"],
+    ["annuity", "value", "--law", "0", "--age", "0", "--rate", "0.05"],
+    ["recur", "sum", "--coeffs", "1", "--init", "1", "--upto", "-1"],
+    # an empty float band, a malformed tour, and integers printed past 4300 digits
+    ["binom", "exact", "--n", "5000", "--c", "1e-9", "--p", "1/3"],
+    ["games", "validate", "--squares", "a1,b3"],
+    ["series", "raise", "--coeffs=-1e4400", "--power", "1", "--order", "1"],
+    ["games", "deck-odds", "--size", "2000"],
     # figures that underflow to 0 or a subnormal
     ["conic", "curvature", "--a", "1e-150", "--b", "1e-150", "--theta", "0.5"],
     ["conic", "focal-product", "--a", "1e-300", "--b", "1e-300", "--theta", "0.5"],

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,21 @@ def test_load_table_error_line_numbers(tmp_path):
     with pytest.raises(ValueError, match="line 2"):
         load_table(garbage)
 
+    three_fields = tmp_path / "f.csv"
+    three_fields.write_text("age,lx\n30,100\n31,90,1\n")
+    with pytest.raises(ValueError, match="line 3: expected two fields, got 3"):
+        load_table(three_fields)
+
+    fractional_age = tmp_path / "g.csv"
+    fractional_age.write_text("age,lx\n30.5,100\n")
+    with pytest.raises(ValueError, match="line 2: age '30.5' is not an integer"):
+        load_table(fractional_age)
+
+    header_only = tmp_path / "h.csv"
+    header_only.write_text("age,lx\n")
+    with pytest.raises(ValueError, match="line 2: table has no rows"):
+        load_table(header_only)
+
 
 def test_life_table_validation():
     with pytest.raises(ValueError):
@@ -215,6 +231,10 @@ def test_law_survival_values():
     assert survival_probability(law, 50, 100) == 0
     with pytest.raises(MortalityDomainError):
         survival_probability(law, 86, 1)
+    # the law's run is a range, read without building it: omega past any list size
+    huge = DeMoivreLaw(10**400)
+    assert survival_probability(huge, 0, 5) == Fraction(10**400 - 5, 10**400)
+    assert survival_probability(huge, 10**400 - 3, 3) == 0
 
 
 def test_table_survival_values():
@@ -389,3 +409,16 @@ def test_error_table_prices_only_requested_ages():
     assert approximation_error_table(table, [80], [-0.9999]) == [[-100.0]]
     with pytest.raises(OverflowError):
         approximation_error_table(table, [80, 12], [-0.9999])
+
+
+def test_annuity_memory_stays_linear_in_the_run():
+    # each (R, D) pair of the backward walk has O(n) digits, so a pair kept
+    # for every age costs O(n^2) memory: ~65 MiB here, against < 1 MiB for one
+    tracemalloc.start()
+    try:
+        value = annuity_value(DeMoivreLaw(3000), 0, RateSpec(0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 19 < value < 20
+    assert peak < 4 * 2**20, peak
