@@ -3,41 +3,3 @@
 from . import binomlimit, conics, exactnum, games, lifeannuity, recurrence, series
 
 __version__ = "0.1.0"
-
-# Canonical operation surface; the CLI must expose each of these through
-# exactly one subcommand (enforced by the coverage test).
-OPERATIONS = (
-    "exactnum.factorial",
-    "exactnum.binomial_coefficient",
-    "exactnum.odds_from_probability",
-    "exactnum.probability_from_odds",
-    "series.raise_series",
-    "series.multinomial_coefficient_terms",
-    "series.revert_series",
-    "series.compose_series",
-    "binomlimit.exact_central_probability",
-    "binomlimit.demoivre_term",
-    "binomlimit.limit_central_probability",
-    "binomlimit.remark1_fraction",
-    "binomlimit.sample_size",
-    "binomlimit.simulate_band",
-    "recurrence.solve_recurrence",
-    "recurrence.eval_closed_form",
-    "recurrence.partial_sum",
-    "recurrence.duration_exceeds_exact",
-    "recurrence.duration_exceeds_closed",
-    "recurrence.factor_unity",
-    "recurrence.demoivre_power",
-    "lifeannuity.reconstruct_maty_table",
-    "lifeannuity.survival_probability",
-    "lifeannuity.annuity_value",
-    "lifeannuity.joint_annuity_value",
-    "lifeannuity.approximation_error_table",
-    "conics.focal_product",
-    "conics.radius_of_curvature",
-    "conics.centripetal_force",
-    "conics.inverse_square_constant",
-    "games.deck_match_odds",
-    "games.validate_tour",
-    "games.find_tour",
-)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice
 from operator import mul
 
-from .exactnum import binomial_coefficient
+from .exactnum import binomial_coefficient, check_double, check_index
 
 RATIONAL_LIMIT = 4096
 MAX_WORKERS = 32
@@ -78,6 +78,7 @@ def band_bounds(spec: TrialSpec, c: float):
     """
     c = float(c)
     _check_multiplier(c)
+    check_double(spec.n, "n")
     half_width = c * math.sqrt(spec.n) / 2
     if math.isinf(half_width):
         return 0, spec.n
@@ -160,6 +161,8 @@ def demoivre_term(n: int, l: int) -> float:
         raise ValueError("need at least one trial")
     if l < 0:
         raise ValueError("offset l must be non-negative")
+    check_double(n, "n")
+    check_double(l, "l")
     return 2.0 / math.sqrt(2 * math.pi * n) * math.exp(-2.0 * l * l / n)
 
 
@@ -368,6 +371,7 @@ def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int, workers: int 
         raise ValueError(f"seed must be non-negative, got {seed}")
     if workers is not None and not 0 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in 0..{MAX_WORKERS}, got {workers}")
+    check_index(spec.n, "n")
     import numpy as np
 
     lo, hi = band_bounds(spec, c)

@@ -78,7 +78,8 @@ def parse_fraction(text: str) -> Fraction:
 def list_fields(text: str, flag: str, kind=str) -> list:
     """The stripped comma-separated fields of a list flag, each taken by kind.
 
-    An empty field, or one that kind refuses, is a domain error naming the flag.
+    Every list flag is read here.  An empty field, or one that kind refuses
+    (Fraction('1/0') too), is a domain error that names the flag.
     """
     fields = [field.strip() for field in text.split(",")]
     if not all(fields):
@@ -87,21 +88,9 @@ def list_fields(text: str, flag: str, kind=str) -> list:
     for field in fields:
         try:
             values.append(kind(field))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise DomainFailure(f"{flag} has a field that is not a valid {kind.__name__}: {field!r}") from None
     return values
-
-
-def parse_coefficients(text: str, real: bool, flag: str = "--coeffs"):
-    if not text.replace(",", "").strip():
-        raise DomainFailure("empty coefficient list")
-    parts = list_fields(text, flag)
-    try:
-        if real:
-            return [float(p) for p in parts]
-        return [Fraction(p) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainFailure(f"bad coefficient list: {exc}") from None
 
 
 def parse_odds(text: str):
@@ -116,14 +105,6 @@ def parse_odds(text: str):
         return Odds(int(favor), int(against))
     except (ValueError, TypeError) as exc:
         return DomainFailure(f"bad odds {text!r}: {exc}")
-
-
-def parse_workers(text: str):
-    """A worker count; 0, the library's own default, becomes None and is not echoed."""
-    return int(text) or None
-
-
-parse_workers.__name__ = "int"  # argparse names the type in its message for a bad value
 
 
 def _parsed(value):
@@ -145,7 +126,7 @@ def _finite(ps, where):
 
 
 def _series(args, flag="coeffs"):
-    coeffs = parse_coefficients(getattr(args, flag), args.real, "--" + flag)
+    coeffs = list_fields(getattr(args, flag), "--" + flag, float if args.real else Fraction)
     return _finite(series.PowerSeries(tuple(coeffs)), f"--{flag}")
 
 
@@ -154,8 +135,8 @@ def _coefficients(ps):
 
 
 def _recurrence(args):
-    coeffs = parse_coefficients(args.coeffs, real=True)
-    init = parse_coefficients(args.init, real=True, flag="--init")
+    coeffs = list_fields(args.coeffs, "--coeffs", float)
+    init = list_fields(args.init, "--init", float)
     return recurrence.Recurrence(tuple(coeffs), tuple(init))
 
 
@@ -282,9 +263,9 @@ DURATION = dict(b=INT, p=FLOAT, n=INT)
 class Command(NamedTuple):
     """One subcommand: library op, argv path, flags (dest -> argparse kwargs), call, provenance.
 
-    The call maps parsed args to the library value, or to a `Noted` (value,
-    provenance suffix) pair.  `inputs` echoes every flag whose value is
-    neither None nor False, in canonical form.
+    `COMMANDS` is the one list of operations.  The call maps parsed args
+    to the library value, or to a `Noted` (value, provenance suffix) pair.
+    `inputs` echoes, in canonical form, every flag whose value is neither None nor False.
     """
 
     op: str
@@ -333,7 +314,7 @@ COMMANDS = tuple(Command(op, tuple(path.split()), args, call, provenance) for op
      lambda a: binomlimit.sample_size(a.p, a.c, a.alpha),
      "trial-count problem of Ars Conjectandi Part IV (Bernoulli, 1713)"),
     ("binomlimit.simulate_band", "binom simulate",
-     dict(n=INT, c=FLOAT, reps=INT, seed=INT, p=P_HALF, workers=dict(type=parse_workers)),
+     dict(n=INT, c=FLOAT, reps=INT, seed=INT, p=P_HALF, workers=dict(type=int)),
      lambda a: binomlimit.simulate_band(binomlimit.TrialSpec(a.n, a.p), a.c, a.reps, a.seed, a.workers),
      "empirical confirmation of the central-band rule by repeated trials"),
     ("recurrence.duration_exceeds_exact", "duration exact", DURATION,

@@ -26,6 +26,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .exactnum import check_double
+
 _NORMAL, _LARGEST = sys.float_info.min, sys.float_info.max
 
 
@@ -128,6 +130,7 @@ def inverse_square_constant(e: Ellipse, samples: int):
     """(mean of force*FM^2 on a uniform angle grid, max relative deviation)."""
     if samples < 3:
         raise ValueError("need at least three sample angles")
+    check_double(samples, "samples")
     c, turn = e.focal_distance, 2 * math.pi
     values = []
     for i in range(samples):

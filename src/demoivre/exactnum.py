@@ -8,16 +8,35 @@ lowest terms with a positive denominator on every construction.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, zip_longest
 
 
+def check_double(n: int, name: str) -> None:
+    """Refuse, naming the parameter, an int n that float() cannot take."""
+    try:
+        float(n)
+    except OverflowError:
+        raise ValueError(f"{name} must lie in the double range, got {name} of {n.bit_length()} bits") from None
+
+
+def check_index(n: int, name: str) -> None:
+    """Refuse, naming the parameter, an int n past sys.maxsize.
+
+    That is the bound of a list's length, of math.factorial and of numpy's int64.
+    """
+    if n > sys.maxsize:
+        raise ValueError(f"{name} must be at most sys.maxsize = {sys.maxsize}, got {name} of {n.bit_length()} bits")
+
+
 def factorial(n: int) -> int:
     """Exact n! for n >= 0."""
     if n < 0:
         raise ValueError("factorial requires n >= 0")
+    check_index(n, "n")
     return math.factorial(n)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactnum import Odds
+from .exactnum import Odds, check_index
 
 BOARD = 8
 SQUARES = BOARD * BOARD
@@ -22,6 +22,7 @@ def deck_match_odds(deck_size: int) -> Odds:
     """Odds against two freshly shuffled identical decks matching exactly."""
     if deck_size < 1:
         raise ValueError("deck must have at least one card")
+    check_index(deck_size, "size")
     return Odds(math.factorial(deck_size) - 1, 1)
 
 

@@ -25,6 +25,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .exactnum import check_double, check_index
+
 ROOT_SEPARATION = 1e-8
 RESIDUE_TOLERANCE = 1e-12
 
@@ -186,6 +188,7 @@ def duration_exceeds_exact(spec: DurationSpec) -> float:
     entry e is carried to the next element as its left neighbour, and p*e is
     p*e + q*0.0 at the right wall (e >= +0.0).  An odd remainder is one game.
     """
+    check_index(spec.b, "b")
     p, q = spec.p, 1.0 - spec.p
     odd = spec.b % 2 == 0  # the start state b-1 is odd when b is even
     live = [0.0] * (spec.b - odd)
@@ -211,6 +214,7 @@ def duration_weights(b: int, p: float):
     """
     if b % 2 != 0:
         raise ValueError("closed form is stated for even b only")
+    check_double(b, "b")
     q = 1.0 - p
     half = b // 2
     t = [2 * p * q * (1 + math.cos((2 * j - 1) * math.pi / b)) for j in range(1, half + 1)]
@@ -242,6 +246,7 @@ def duration_exceeds_closed(spec: DurationSpec) -> float:
     n = spec.n if spec.n % 2 == 0 else spec.n - 1
     if n <= 0:
         return 1.0
+    check_double(n, "n")
     total = math.fsum(c * t ** (n // 2) for t, c in duration_weights(spec.b, spec.p))
     return min(max(total, 0.0), 1.0)
 
@@ -288,6 +293,7 @@ def factor_unity(n: int, sign: int) -> UnityFactorization:
         raise ValueError("degree must be positive")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 (x^n + 1) or -1 (x^n - 1)")
+    check_double(n, "n")
     start = 1 if sign == 1 else 2
     linear = tuple(-1.0 if m else 1.0 for m in (0, n) if m % 2 == start % 2)
     cosines = tuple(math.cos(m * math.pi / n) for m in range(start, n, 2))

@@ -7,6 +7,9 @@ Paths inside the package's data directory are written as `{DATA}` in argvs
 and outputs.  To re-record (only when an output is meant to change):
 
     PYTHONPATH=src python tests/cli_golden.py
+
+The recorder prints each entry that moved (its old and new bytes) and the
+count of entries added and dropped, against the corpus it replaces.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ COLUMNS = "80"  # argparse wraps usage and help text to the terminal width
 SIMULATE = ["binom", "simulate", "--n", "100", "--c", "1", "--reps", "200", "--seed", "7"]
 JOINT = ["--age-a", "50", "--age-b", "60", "--rate", "0.05"]
 MATY_CSV = f"{DATA}/maty_breslau.csv"
+HUGE = "1" + "0" * 400  # 10^400, past the double range
 
 EDGE_INVOCATIONS = [
-    # --workers: 0 is the default and is not echoed, 1 is; a bad count
+    # --workers: every given count is echoed, the default 0 too; a bad count
     SIMULATE + ["--workers", "0"],
     SIMULATE + ["--workers", "1"],
     SIMULATE + ["--workers", "33"],
@@ -138,6 +142,19 @@ EDGE_INVOCATIONS = [
     ["binom", "sample-size", "--p", "1/3", "--c", "1e400", "--alpha", "1/3"],
     # a closed form whose product of weight differences underflows to 0
     ["duration", "closed", "--b", "1200", "--p", "0.3", "--n", "100"],
+    # integers past the double range or past sys.maxsize are refused by name
+    ["binom", "term", "--n", HUGE, "--l", "0"],
+    ["binom", "term", "--n", "100", "--l", HUGE],
+    ["binom", "exact", "--n", HUGE, "--c", "1"],
+    ["binom", "simulate", "--n", HUGE, "--c", "1", "--reps", "10", "--seed", "1"],
+    ["binom", "simulate", "--n", "10000000000000000000", "--c", "1", "--reps", "10", "--seed", "1"],
+    ["duration", "closed", "--b", "4", "--p", "0.5", "--n", HUGE],
+    ["duration", "closed", "--b", HUGE, "--p", "0.5", "--n", "4"],
+    ["duration", "exact", "--b", "4000000000000000000000", "--p", "0.5", "--n", "4"],
+    ["factor", "unity", "--n", HUGE, "--sign", "1"],
+    ["num", "factorial", "--n", HUGE],
+    ["games", "deck-odds", "--size", HUGE],
+    ["conic", "inverse-square", "--a", "2", "--b", "1", "--samples", HUGE],
     # usage errors and help
     [],
     ["nonsense"],
@@ -186,12 +203,25 @@ def corpus_argvs():
     return [argv + extra for argv in base for extra in ([], ["--format", "text"])]
 
 
+def report(old_cases, cases):
+    """Print the entries of cases that moved from old_cases, then the counts added and dropped."""
+    old = {json.dumps(case["argv"]): case for case in old_cases}
+    new = {json.dumps(case["argv"]): case for case in cases}
+    for key in new:
+        for field in ("exit", "stdout", "stderr"):
+            if key in old and new[key][field] != old[key][field]:
+                print(f"moved {key} {field}: {old[key][field]!r} -> {new[key][field]!r}")
+    print(f"added {len(new.keys() - old.keys())}, dropped {len(old.keys() - new.keys())}")
+
+
 def record():
     os.environ["COLUMNS"] = COLUMNS
     cases = []
     for argv in corpus_argvs():
         code, out, err = capture(argv)
         cases.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
+    if CORPUS_PATH.exists():
+        report(json.loads(CORPUS_PATH.read_text())["cases"], cases)
     corpus = {"python": "%d.%d" % sys.version_info[:2], "cases": cases}
     CORPUS_PATH.parent.mkdir(exist_ok=True)
     with open(CORPUS_PATH, "w") as handle:

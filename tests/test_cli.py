@@ -13,6 +13,7 @@ import demoivre
 from demoivre import cli
 
 from cli_cases import SAMPLE_INVOCATIONS, rebuild_argv
+from cli_golden import HUGE
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -36,9 +37,13 @@ def run_json(argv):
 
 
 def test_registry_covers_every_operation_exactly_once():
-    assert set(cli.REGISTRY) == set(demoivre.OPERATIONS)
-    paths = [path for path, _ in cli.REGISTRY.values()]
-    assert len(paths) == len(set(paths))
+    # COMMANDS is the one list of operations: each op names a public library callable
+    for command in cli.COMMANDS:
+        module, name = command.op.split(".")
+        assert not name.startswith("_") and callable(getattr(getattr(demoivre, module), name)), command.op
+    for key in ("op", "path"):
+        values = [getattr(command, key) for command in cli.COMMANDS]
+        assert len(values) == len(set(values)), key
 
 
 def test_spec_example_remark1():
@@ -77,7 +82,7 @@ def test_every_subcommand_roundtrips_and_is_deterministic():
     replay = json.loads(run(rebuild_argv(verdict))[1])
     assert replay["result"] == verdict["result"]
     exercised.add(verdict["op"])
-    assert exercised == set(demoivre.OPERATIONS)
+    assert exercised == {command.op for command in cli.COMMANDS}
 
 
 def test_text_format_stable():
@@ -311,6 +316,28 @@ def test_simulate_worker_count_out_of_range_exits_3(workers):
     assert code == 3
     assert out == ""
     assert "workers must lie in 0..32" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["binom", "term", "--n", HUGE, "--l", "0"], "n"),
+    (["binom", "term", "--n", "100", "--l", HUGE], "l"),
+    (["binom", "exact", "--n", HUGE, "--c", "1"], "n"),
+    (["binom", "simulate", "--n", HUGE, "--c", "1", "--reps", "10", "--seed", "1"], "n"),
+    (["binom", "simulate", "--n", "10000000000000000000", "--c", "1", "--reps", "10", "--seed", "1"], "n"),
+    (["duration", "closed", "--b", "4", "--p", "0.5", "--n", HUGE], "n"),
+    (["duration", "closed", "--b", HUGE, "--p", "0.5", "--n", "4"], "b"),
+    (["duration", "exact", "--b", "4000000000000000000000", "--p", "0.5", "--n", "4"], "b"),
+    (["factor", "unity", "--n", HUGE, "--sign", "1"], "n"),
+    (["num", "factorial", "--n", HUGE], "n"),
+    (["games", "deck-odds", "--size", HUGE], "size"),
+    (["conic", "inverse-square", "--a", "2", "--b", "1", "--samples", HUGE], "samples"),
+])
+def test_integer_past_the_double_or_index_range_exits_3_naming_it(argv, name):
+    code, out, err = run(argv)
+    assert (code, out) == (3, ""), err
+    assert f" got {name} of " in err and err.startswith(f"error: {name} must "), err
+    for raw in ("int too large", "index-sized", "C long", "factorial()", "ellipse a ="):
+        assert raw not in err, err
 
 
 def test_simulate_negative_seed_exits_3():
