@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice
 from operator import mul
 
-from .exactnum import binomial_coefficient, check_double, check_index
+from .exactnum import binomial_coefficient, check_double, check_index, exact_input
 
 RATIONAL_LIMIT = 4096
 MAX_WORKERS = 32
@@ -58,7 +58,7 @@ class TrialSpec:
             raise ValueError("need at least one trial")
         if not 0 < self.p < 1:
             raise ValueError("success probability must lie strictly in (0, 1)")
-        object.__setattr__(self, "p", _exact_input(self.p, "p"))
+        object.__setattr__(self, "p", exact_input(self.p, "p"))
 
 
 def _check_multiplier(c) -> None:
@@ -303,15 +303,6 @@ def remark1_fraction(n: int) -> Fraction:
     return Fraction(1, 2 * root)
 
 
-def _exact_input(x, name: str) -> Fraction:
-    """x as a Fraction; a float is taken as the decimal it prints as, and must be finite."""
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"{name} must be finite, got {x!r}")
-        return Fraction(repr(float(x)))
-    return Fraction(x)
-
-
 def sample_size(p, c, alpha) -> int:
     """Smallest n with P(|X_1+...+X_n)/n - p| <= c) >= 1 - alpha, exactly.
 
@@ -330,9 +321,9 @@ def sample_size(p, c, alpha) -> int:
     1 - alpha when sum * td >= tn * d^n.  An empty band holds nothing, and
     the scan goes on.
     """
-    p = _exact_input(p, "p")
-    c = _exact_input(c, "c")
-    alpha = _exact_input(alpha, "alpha")
+    p = exact_input(p, "p")
+    c = exact_input(c, "c")
+    alpha = exact_input(alpha, "alpha")
     if not 0 < p < 1:
         raise ValueError("p must lie strictly in (0, 1)")
     if c <= 0:
@@ -372,6 +363,7 @@ def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int, workers: int 
     if workers is not None and not 0 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in 0..{MAX_WORKERS}, got {workers}")
     check_index(spec.n, "n")
+    check_index(reps, "reps")
     import numpy as np
 
     lo, hi = band_bounds(spec, c)

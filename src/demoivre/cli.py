@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,25 +112,21 @@ def _parsed(value):
     return value
 
 
-def _finite(ps, where):
-    """ps itself; in real mode a NaN or infinite coefficient is a domain error.
-
-    The library propagates non-finite floats as IEEE arithmetic does; the
-    CLI does not print them with exit 0.
-    """
-    for degree, value in enumerate(ps.coefficients, start=1):
-        if isinstance(value, float) and not math.isfinite(value):
-            raise DomainFailure(f"{where}: coefficient of x^{degree} is not finite: {value!r}")
-    return ps
-
-
 def _series(args, flag="coeffs"):
-    coeffs = list_fields(getattr(args, flag), "--" + flag, float if args.real else Fraction)
-    return _finite(series.PowerSeries(tuple(coeffs)), f"--{flag}")
+    return series.PowerSeries(tuple(list_fields(getattr(args, flag), "--" + flag, Fraction)))
 
 
-def _coefficients(ps):
-    return _finite(ps, "result").coefficients
+def _coefficients(ps, real):
+    """The exact coefficients, or with --real each one's nearest double (float() rounds correctly)."""
+    if not real:
+        return ps.coefficients
+    values = []
+    for degree, value in enumerate(ps.coefficients, start=1):
+        try:
+            values.append(float(value))
+        except OverflowError:
+            raise DomainFailure(f"result: coefficient of x^{degree} lies past the double range") from None
+    return values
 
 
 def _recurrence(args):
@@ -288,16 +283,16 @@ COMMANDS = tuple(Command(op, tuple(path.split()), args, call, provenance) for op
      lambda a: exactnum.probability_from_odds(_parsed(a.odds)),
      "odds rendering of band probabilities (Approximatio, 1733 corollaries)"),
     ("series.raise_series", "series raise", dict(coeffs=TEXT, power=INT, order=INT, real=REAL),
-     lambda a: _coefficients(series.raise_series(_series(a), a.power, a.order)),
+     lambda a: _coefficients(series.raise_series(_series(a), a.power, a.order), a.real),
      "multinomial raising of ax + bxx + cx^3 + ... (Philosophical Transactions, 1697)"),
     ("series.multinomial_coefficient_terms", "series multinomial", dict(degree=INT, power=INT),
      lambda a: [{"exponents": e, "count": n} for e, n in series.multinomial_coefficient_terms(a.degree, a.power)],
      "literary and numerical parts of multinomial coefficients (1697 method)"),
     ("series.revert_series", "series revert", dict(coeffs=TEXT, order=INT, real=REAL),
-     lambda a: _coefficients(series.revert_series(_series(a), a.order)),
+     lambda a: _coefficients(series.revert_series(_series(a), a.order), a.real),
      "series reversion built on the multinomial method (1698)"),
     ("series.compose_series", "series compose", dict(f=TEXT, g=TEXT, order=INT, real=REAL),
-     lambda a: _coefficients(series.compose_series(_series(a, "f"), _series(a, "g"), a.order)),
+     lambda a: _coefficients(series.compose_series(_series(a, "f"), _series(a, "g"), a.order), a.real),
      "composition identity that defines series reversion"),
     ("binomlimit.exact_central_probability", "binom exact", dict(n=INT, c=FLOAT, p=P_HALF),
      lambda a: binomlimit.exact_central_probability(binomlimit.TrialSpec(a.n, a.p), a.c),

@@ -32,6 +32,19 @@ def check_index(n: int, name: str) -> None:
         raise ValueError(f"{name} must be at most sys.maxsize = {sys.maxsize}, got {name} of {n.bit_length()} bits")
 
 
+def exact_input(x, name: str) -> Fraction:
+    """x as a Fraction; a float as the decimal it prints as, refused by name unless finite.
+
+    0.3 is 3/10, not its binary value, whose 2^54 denominator would pass into
+    every exact sum; float() of the result is x again.
+    """
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+        return Fraction(repr(float(x)))
+    return Fraction(x)
+
+
 def factorial(n: int) -> int:
     """Exact n! for n >= 0."""
     if n < 0:

@@ -31,6 +31,8 @@ from fractions import Fraction
 from importlib import resources
 from operator import mul
 
+from .exactnum import check_index
+
 MATY_CSV = "maty_breslau.csv"
 
 # (age span, deaths per year) runs of the narrative schedule, from age 12
@@ -210,7 +212,14 @@ def _survival_run(model, x: int):
     """
     if isinstance(model, LifeTable):
         return model.survivors[x - model.start_age:]
-    return range(model.omega - x, 0, -1)
+    return range(_run_length(model, x), 0, -1)
+
+
+def _run_length(model, x: int) -> int:
+    """The number of survivor counts in _survival_run(model, x); only a law's passes sys.maxsize."""
+    if isinstance(model, LifeTable):
+        return model.terminal_age - x + 1
+    return model.omega - x
 
 
 def _present_values(run, v: Fraction, offsets=(0,)):
@@ -254,6 +263,7 @@ def _price(entry, *ages: int) -> float:
 def annuity_value(model, x: int, rate: RateSpec) -> float:
     """Curtate annuity-immediate price: sum over t >= 1 of v^t * survival(x, t)."""
     _check_age(model, x)
+    check_index(_run_length(model, x), "OMEGA - age")  # _present_values lists the run
     return _price(_present_values(_survival_run(model, x), rate.v)[0], x)
 
 
@@ -262,6 +272,7 @@ def joint_annuity_value(model_a, x: int, model_b, y: int, rate: RateSpec) -> flo
     _check_age(model_a, x)
     _check_age(model_b, y)
     # the product run ends with the shorter of the two lives' runs
+    check_index(min(_run_length(model_a, x), _run_length(model_b, y)), "OMEGA - age")
     both = map(mul, _survival_run(model_a, x), _survival_run(model_b, y))
     return _price(_present_values(both, rate.v)[0], x, y)
 

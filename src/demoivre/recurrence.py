@@ -187,11 +187,18 @@ def duration_exceeds_exact(spec: DurationSpec) -> float:
     class.  Then games go two to a list pass, even -> odd -> even: each odd
     entry e is carried to the next element as its left neighbour, and p*e is
     p*e + q*0.0 at the right wall (e >= +0.0).  An odd remainder is one game.
+    A b whose list of states the interpreter refuses to allocate is a
+    ValueError naming b.
     """
     check_index(spec.b, "b")
+    check_index(spec.n, "n")
     p, q = spec.p, 1.0 - spec.p
     odd = spec.b % 2 == 0  # the start state b-1 is odd when b is even
-    live = [0.0] * (spec.b - odd)
+    try:
+        live = [0.0] * (spec.b - odd)
+    except MemoryError:
+        states = spec.b - odd
+        raise ValueError(f"b must leave room for a list of its {states} states, got b of {spec.b.bit_length()} bits") from None
     live[(spec.b - 1) // 2] = 1.0
     games = spec.n
     if odd and games:

@@ -1,18 +1,18 @@
 """Truncated formal power series without constant term.
 
-Coefficients are indexed from degree 1 and are exact rationals by default;
-a real (float) mode exists for interoperability with the recurrence module.
-Raising to a power goes through the multinomial rule -- each output
-coefficient is assembled from exponent multisets and their permutation
-counts -- and is required to agree with plain repeated multiplication,
-which the tests exercise as an independent oracle.
+Coefficients are indexed from degree 1 and are exact rationals.  Raising
+to a power goes through the multinomial rule -- each output coefficient is
+assembled from exponent multisets and their permutation counts -- and is
+required to agree with plain repeated multiplication, which the tests
+exercise as an independent oracle.
 
-When every coefficient is an int or a Fraction, the exact route clears
-denominators once (integer numerators over one common denominator), runs
-the loops on Python ints and builds one Fraction per output coefficient,
-so no gcd is taken inside a loop.  Its Fractions equal those the loops
-give on Fractions.  Any other series (floats, the --real mode) takes the
-same loops on its own values, with the same operations in the same order.
+Every kernel clears denominators once (integer numerators over one
+common denominator), runs its loops on Python ints and builds one Fraction
+per output coefficient, so no gcd is taken inside a loop.  Its Fractions
+equal those the same loops give on Fractions.  A float coefficient is
+taken as the decimal it prints as (0.3 is 3/10), and a NaN or infinite one
+is a ValueError naming its degree.  Whoever wants floats rounds the exact
+result once: float() of a Fraction is correctly rounded.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .exactnum import exact_input
 
 
 @dataclass(frozen=True)
@@ -47,33 +49,18 @@ class PowerSeries:
 
     def truncate(self, order: int) -> "PowerSeries":
         _check_order(order)
-        coeffs = list(self.coefficients[:order])
-        while len(coeffs) < order:
-            coeffs.append(_zero_like(self.coefficients[0]))
-        return PowerSeries(tuple(coeffs))
-
-
-def _zero_like(sample):
-    return 0.0 if isinstance(sample, float) else Fraction(0)
+        return PowerSeries((*self.coefficients[:order], *[Fraction(0)] * (order - self.order)))
 
 
 def series_from_rationals(values) -> PowerSeries:
     return PowerSeries(tuple(Fraction(v) for v in values))
 
 
-def series_from_reals(values) -> PowerSeries:
-    return PowerSeries(tuple(float(v) for v in values))
-
-
-def _is_exact(*coefficient_lists) -> bool:
-    """True when every coefficient is an int or a Fraction: the exact route."""
-    return all(isinstance(c, (int, Fraction)) for cs in coefficient_lists for c in cs)
-
-
 def _clear_denominators(coefficients):
-    """Integer numerators over one common denominator D, and D."""
-    den = math.lcm(*(c.denominator for c in coefficients))
-    return [c.numerator * (den // c.denominator) for c in coefficients], den
+    """Integer numerators over one common denominator D, and D; a float is its printed decimal."""
+    exact = [exact_input(c, f"coefficient of x^{degree}") for degree, c in enumerate(coefficients, start=1)]
+    den = math.lcm(*(c.denominator for c in exact))
+    return [c.numerator * (den // c.denominator) for c in exact], den
 
 
 def _over(numerators, den) -> PowerSeries:
@@ -81,9 +68,9 @@ def _over(numerators, den) -> PowerSeries:
     return PowerSeries(tuple(Fraction(n, den) for n in numerators))
 
 
-def _products(f, g, order: int, zero) -> list:
-    """Coefficients of f*g through degree `order`, summed onto `zero`."""
-    out = [zero] * order
+def _products(f, g, order: int) -> list:
+    """Coefficients of f*g through degree `order`."""
+    out = [0] * order
     for i, a in enumerate(f, start=1):
         if i >= order:
             break
@@ -103,11 +90,8 @@ def _check_order(order: int) -> None:
 def multiply_series(f: PowerSeries, g: PowerSeries, order: int) -> PowerSeries:
     """Product f*g truncated at the given degree."""
     _check_order(order)
-    if _is_exact(f.coefficients, g.coefficients):
-        (fn, fd), (gn, gd) = _clear_denominators(f.coefficients), _clear_denominators(g.coefficients)
-        return _over(_products(fn, gn, order, 0), fd * gd)
-    zero = _zero_like(f.coefficients[0])
-    return PowerSeries(tuple(_products(f.coefficients, g.coefficients, order, zero)))
+    (fn, fd), (gn, gd) = _clear_denominators(f.coefficients), _clear_denominators(g.coefficients)
+    return _over(_products(fn, gn, order), fd * gd)
 
 
 def multinomial_coefficient_terms(m: int, p: int):
@@ -148,11 +132,11 @@ def multinomial_coefficient_terms(m: int, p: int):
     return out
 
 
-def _multinomial_sums(c, p: int, order: int, zero) -> list:
+def _multinomial_sums(c, p: int, order: int) -> list:
     """Degree-m coefficients of s^p by the multinomial rule; c[e] = a_e."""
-    out = [zero] * order
+    out = [0] * order
     for m in range(p, order + 1):
-        total = zero
+        total = 0
         for exponents, count in multinomial_coefficient_terms(m, p):
             prod = count
             for e in exponents:
@@ -171,30 +155,26 @@ def raise_series(s: PowerSeries, p: int, order: int) -> PowerSeries:
     if p < 1:
         raise ValueError("power must be >= 1")
     _check_order(order)
+    numerators, den = _clear_denominators(s.coefficients[:order])
     # c[e] = a_e, and 0 past the truncation order, as s.coefficient(e) gives
-    pad = [0] * (order - s.order)
-    if _is_exact(s.coefficients):
-        numerators, den = _clear_denominators(s.coefficients[:order])
-        return _over(_multinomial_sums([0, *numerators, *pad], p, order, 0), den**p)
-    c = [0, *s.coefficients, *pad]
-    return PowerSeries(tuple(_multinomial_sums(c, p, order, _zero_like(s.coefficients[0]))))
+    c = [0, *numerators, *[0] * (order - s.order)]
+    return _over(_multinomial_sums(c, p, order), den**p)
 
 
-def _composition(f, g, order: int, zero, g_zero) -> list:
+def _composition(f, g, order: int) -> list:
     """Coefficients of f(g) through degree `order`: sum of f_j times g^j.
 
-    Each g^j is the product of g^(j-1) and g, taken by _products from the
-    g_zero of g's own type, as multiply_series would.
+    Each g^j is the product of g^(j-1) and g, taken by _products.
     """
-    out = [zero] * order
-    g_pow = [*g[:order], *[g_zero] * (order - len(g))]
+    out = [0] * order
+    g_pow = [*g[:order], *[0] * (order - len(g))]
     for j in range(1, order + 1):
         fj = f[j - 1] if j <= len(f) else 0
         if fj != 0:
             for d in range(order):
                 out[d] += fj * g_pow[d]
         if j < order:
-            g_pow = _products(g_pow, g, order, g_zero)
+            g_pow = _products(g_pow, g, order)
     return out
 
 
@@ -202,18 +182,15 @@ def compose_series(f: PowerSeries, g: PowerSeries, order: int) -> PowerSeries:
     """f(g(x)) truncated at the given degree.
 
     g has no constant term by construction, so powers of g start at ever
-    higher degrees and the sum below is finite.  On the exact route, with
-    f = F/D and g = G/E over integers, E^j g^j = G^j is integral, so f_j g^j
-    is F_j E^(order - j) G^j over the one denominator D E^order.
+    higher degrees and the sum below is finite.  With f = F/D and g = G/E
+    over integers, E^j g^j = G^j is integral, so f_j g^j is
+    F_j E^(order - j) G^j over the one denominator D E^order.
     """
     _check_order(order)
-    if _is_exact(f.coefficients, g.coefficients):
-        fn, fd = _clear_denominators(f.coefficients[:order])
-        gn, gd = _clear_denominators(g.coefficients[:order])
-        scaled = [fj * gd ** (order - j) for j, fj in enumerate(fn, start=1)]
-        return _over(_composition(scaled, gn, order, 0, 0), fd * gd**order)
-    zero, g_zero = _zero_like(f.coefficients[0]), _zero_like(g.coefficients[0])
-    return PowerSeries(tuple(_composition(f.coefficients, g.coefficients, order, zero, g_zero)))
+    fn, fd = _clear_denominators(f.coefficients[:order])
+    gn, gd = _clear_denominators(g.coefficients[:order])
+    scaled = [fj * gd ** (order - j) for j, fj in enumerate(fn, start=1)]
+    return _over(_composition(scaled, gn, order), fd * gd**order)
 
 
 def revert_series(s: PowerSeries, order: int) -> PowerSeries:
@@ -227,42 +204,15 @@ def revert_series(s: PowerSeries, order: int) -> PowerSeries:
     The powers of t are kept as rows [x^d] t^j; order m adds only their
     degree-m entries (and the new row t^m), so s is never recomposed with
     the partial inverse and the work is O(order^3) products, not O(order^4).
-    Each entry sums the same products in the same ascending order as
-    multiply_series and compose_series, zero terms included, so float
-    results keep every bit.  (Lagrange inversion would need fewer products
-    but rounds differently.)  Exact series take the same rows in integers,
-    see _revert_integers.
+    The rows are taken in integers, see _revert_integers.
     """
     _check_order(order)
-    a1 = s.coefficient(1)
-    if a1 == 0:
+    numerators, den = _clear_denominators(s.coefficients[:order])
+    a = numerators[0]
+    if a == 0:
         raise ValueError("series with zero linear coefficient is not invertible")
-    if _is_exact(s.coefficients):
-        numerators, den = _clear_denominators(s.coefficients[:order])
-        a = numerators[0]
-        scaled = _revert_integers(numerators, order)
-        return PowerSeries(tuple(Fraction(bm * den**m, a ** (2 * m - 1)) for m, bm in enumerate(scaled, 1)))
-    one = 1.0 if isinstance(a1, float) else Fraction(1)
-    zero = _zero_like(a1)
-    b = [one / a1]
-    powers = [b]  # powers[j - 1][d - 1] = [x^d] t^j; row 1 is b itself
-    for m in range(2, order + 1):
-        powers.append([])  # t^m
-        # t's degree-m term is the unknown b_m, taken as zero while solving for it
-        residual = zero + a1 * zero
-        for j in range(2, m + 1):
-            row, lower = powers[j - 1], powers[j - 2]
-            while len(row) < m:  # [x^d] t^j = sum over i of [x^i] t^(j-1) * b_(d-i)
-                d = len(row) + 1
-                entry = zero
-                for i in range(1, d):
-                    entry += lower[i - 1] * b[d - i - 1]
-                row.append(entry)
-            aj = s.coefficient(j)
-            if aj != 0:
-                residual += aj * row[m - 1]
-        b.append(-residual / a1)
-    return PowerSeries(tuple(b))
+    scaled = _revert_integers(numerators, order)
+    return PowerSeries(tuple(Fraction(bm * den**m, a ** (2 * m - 1)) for m, bm in enumerate(scaled, 1)))
 
 
 def _revert_integers(S, order: int) -> list:
@@ -294,7 +244,5 @@ def _revert_integers(S, order: int) -> list:
     return B
 
 
-def identity_series(order: int, real: bool = False) -> PowerSeries:
-    one = 1.0 if real else Fraction(1)
-    zero = 0.0 if real else Fraction(0)
-    return PowerSeries((one,) + (zero,) * (order - 1))
+def identity_series(order: int) -> PowerSeries:
+    return series_from_rationals([1, *[0] * (order - 1)])

@@ -62,6 +62,7 @@ EDGE_INVOCATIONS = [
     ["series", "revert", "--real", "--coeffs", "2,1", "--order", "4"],
     ["series", "compose", "--real", "--f", "0,1", "--g", "0.5,0.25", "--order", "4"],
     ["series", "revert", "--real", "--coeffs=nan,1", "--order", "3"],
+    ["series", "raise", "--real", "--coeffs", "0.3,0.7,-1.1", "--power", "6", "--order", "20"],
     # coefficient, age and rate lists are echoed raw
     ["series", "raise", "--coeffs", "1,,1", "--power", "2", "--order", "4"],
     ["series", "raise", "--coeffs", ",", "--power", "2", "--order", "4"],
@@ -155,6 +156,11 @@ EDGE_INVOCATIONS = [
     ["num", "factorial", "--n", HUGE],
     ["games", "deck-odds", "--size", HUGE],
     ["conic", "inverse-square", "--a", "2", "--b", "1", "--samples", HUGE],
+    ["duration", "exact", "--b", "4", "--p", "0.5", "--n", HUGE],
+    ["binom", "simulate", "--n", "100", "--c", "1", "--reps", "10000000000000000000000", "--seed", "1"],
+    ["duration", "exact", "--b", "4611686018427387904", "--p", "0.5", "--n", "4"],
+    ["annuity", "value", "--law", HUGE, "--age", "0", "--rate", "0.05"],
+    ["annuity", "joint", "--law", HUGE, "--age-a", "0", "--age-b", "3", "--rate", "0.05"],
     # usage errors and help
     [],
     ["nonsense"],

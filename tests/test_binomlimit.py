@@ -550,6 +550,11 @@ def test_simulate_band_rejects_worker_counts_out_of_range():
             simulate_band(TrialSpec(10, HALF), 1.0, 10, seed=1, workers=workers)
 
 
+def test_simulate_band_refuses_reps_past_sys_maxsize_by_name():
+    with pytest.raises(ValueError, match="^reps must be at most sys.maxsize"):
+        simulate_band(TrialSpec(100, HALF), 1.0, 10**22, seed=1)
+
+
 def test_trial_spec_and_band_validation():
     with pytest.raises(ValueError):
         TrialSpec(0, HALF)

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import demoivre
 from demoivre import cli
@@ -210,12 +212,12 @@ def test_power_with_n_beyond_float_range_exits_3_with_its_own_message():
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["series", "revert", "--coeffs=nan,1", "--order", "3"], "--coeffs: coefficient of x^1 is not finite: nan"),
-        (["series", "revert", "--coeffs=1,-inf", "--order", "3"], "--coeffs: coefficient of x^2 is not finite: -inf"),
-        (["series", "revert", "--coeffs=1e-300,1e300", "--order", "4"], "result: coefficient of x^2 is not finite"),
-        (["series", "raise", "--coeffs=nan,1", "--power", "2", "--order", "3"], "--coeffs: coefficient of x^1"),
-        (["series", "compose", "--f=1,inf", "--g=1,1", "--order", "3"], "--f: coefficient of x^2 is not finite: inf"),
-        (["series", "compose", "--f=1,1", "--g=nan", "--order", "3"], "--g: coefficient of x^1 is not finite: nan"),
+        (["series", "revert", "--coeffs=nan,1", "--order", "3"], "--coeffs has a field that is not a valid Fraction: 'nan'"),
+        (["series", "revert", "--coeffs=1,-inf", "--order", "3"], "--coeffs has a field that is not a valid Fraction: '-inf'"),
+        (["series", "revert", "--coeffs=1e-300,1e300", "--order", "4"], "result: coefficient of x^2 lies past the double range"),
+        (["series", "raise", "--coeffs=nan,1", "--power", "2", "--order", "3"], "--coeffs has a field that is not a valid Fraction: 'nan'"),
+        (["series", "compose", "--f=1,inf", "--g=1,1", "--order", "3"], "--f has a field that is not a valid Fraction: 'inf'"),
+        (["series", "compose", "--f=1,1", "--g=nan", "--order", "3"], "--g has a field that is not a valid Fraction: 'nan'"),
     ],
 )
 def test_real_series_with_non_finite_coefficient_exits_3(argv, message):
@@ -228,6 +230,34 @@ def test_real_series_with_non_finite_coefficient_exits_3(argv, message):
 def test_real_series_keeps_finite_results():
     record = run_json(["series", "revert", "--real", "--coeffs", "2,1", "--order", "4"])
     assert record["result"] == ["0.5", "-0.125", "0.0625", "-0.0390625"]
+
+
+two_decimals = st.integers(-999, 999).map(lambda k: str(Decimal(k).scaleb(-2)))
+decimal_list = st.lists(two_decimals, min_size=1, max_size=12).map(",".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(decimal_list, st.integers(1, 5)).map(lambda t: ["series", "raise", "--coeffs=" + t[0], "--power", str(t[1])]),
+        decimal_list.map(lambda coeffs: ["series", "revert", "--coeffs=" + coeffs]),
+        st.tuples(decimal_list, decimal_list).map(lambda t: ["series", "compose", "--f=" + t[0], "--g=" + t[1]]),
+    ),
+    st.integers(1, 12),
+)
+@example(["series", "raise", "--coeffs=0.3,0.7,-1.1", "--power", "6"], 20)
+def test_real_series_print_the_exact_result_correctly_rounded(argv, order):
+    # each --real coefficient is the nearest double to the Fraction the same call prints without --real
+    argv = argv + ["--order", str(order)]
+    exact_code, exact_out, exact_err = run(argv)
+    code, out, err = run(argv + ["--real"])
+    if exact_code:  # only a series that is not invertible
+        not_invertible = (3, "", "error: series with zero linear coefficient is not invertible\n")
+        assert (code, out, err) == (exact_code, exact_out, exact_err) == not_invertible
+        return
+    assert code == 0, err
+    exact = json.loads(exact_out)["result"]
+    assert json.loads(out)["result"] == [format(float(Fraction(f)), ".17g") for f in exact]
 
 
 def test_limit_at_huge_c_prints_one():
@@ -331,6 +361,12 @@ def test_simulate_worker_count_out_of_range_exits_3(workers):
     (["num", "factorial", "--n", HUGE], "n"),
     (["games", "deck-odds", "--size", HUGE], "size"),
     (["conic", "inverse-square", "--a", "2", "--b", "1", "--samples", HUGE], "samples"),
+    (["duration", "exact", "--b", "4", "--p", "0.5", "--n", HUGE], "n"),
+    (["binom", "simulate", "--n", "100", "--c", "1", "--reps", "10000000000000000000000", "--seed", "1"], "reps"),
+    # 2^62 states: the interpreter refuses the list before it allocates anything
+    (["duration", "exact", "--b", "4611686018427387904", "--p", "0.5", "--n", "4"], "b"),
+    (["annuity", "value", "--law", HUGE, "--age", "0", "--rate", "0.05"], "OMEGA - age"),
+    (["annuity", "joint", "--law", HUGE, "--age-a", "0", "--age-b", "3", "--rate", "0.05"], "OMEGA - age"),
 ])
 def test_integer_past_the_double_or_index_range_exits_3_naming_it(argv, name):
     code, out, err = run(argv)

@@ -10,6 +10,7 @@ from demoivre.exactnum import (
     _by_primes,
     _primes_upto,
     binomial_coefficient,
+    exact_input,
     factorial,
     odds_from_probability,
     probability_from_odds,
@@ -22,6 +23,16 @@ def pascal_row(n):
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
     return row
+
+
+def test_exact_input_takes_a_float_as_the_decimal_it_prints_as():
+    assert exact_input(0.3, "p") == Fraction(3, 10) != Fraction(0.3)
+    assert exact_input(5e-324, "p") == Fraction(5, 10**324)
+    assert float(exact_input(0.1 + 0.2, "p")) == 0.1 + 0.2
+    assert exact_input(7, "p") == 7 and exact_input(Fraction(2, 3), "p") == Fraction(2, 3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^alpha must be finite, got {bad!r}$"):
+            exact_input(bad, "alpha")
 
 
 def test_factorial_examples():

@@ -237,6 +237,18 @@ def test_law_survival_values():
     assert survival_probability(huge, 10**400 - 3, 3) == 0
 
 
+def test_a_law_run_past_every_list_size_is_refused_before_pricing():
+    huge, rate = DeMoivreLaw(10**400), RateSpec(0.05)
+    for price in (lambda: annuity_value(huge, 0, rate), lambda: joint_annuity_value(huge, 0, huge, 3, rate),
+                  lambda: annuity_value(DeMoivreLaw(86), -(10**400), rate)):
+        with pytest.raises(ValueError, match="^OMEGA - age must be at most sys.maxsize"):
+            price()
+    # a joint run ends with the shorter life's, here the table's
+    table = reconstruct_maty_table()
+    joint = joint_annuity_value(huge, 0, table, 30, rate)
+    assert math.isclose(joint, annuity_value(table, 30, rate), rel_tol=1e-15)
+
+
 def test_table_survival_values():
     table = reconstruct_maty_table()
     assert survival_probability(table, 12, 13) == Fraction(568, 646)

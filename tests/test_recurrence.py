@@ -274,6 +274,15 @@ def test_duration_exact_monotone_and_symmetric():
         )
 
 
+def test_duration_walk_refuses_sizes_it_cannot_list_or_loop_by_name():
+    with pytest.raises(ValueError, match="^n must be at most sys.maxsize"):
+        duration_exceeds_exact(DurationSpec(4, 0.5, 10**400))
+    # b = 2^62 and 2^60 + 1: a list of 2^62 - 1 or 2^60 doubles is refused before anything is allocated
+    for b in (2**62, 2**60 + 1):
+        with pytest.raises(ValueError, match=rf"^b must leave room for a list of its {b - (b % 2 == 0)} states"):
+            duration_exceeds_exact(DurationSpec(b, 0.5, 4))
+
+
 def test_duration_weights_sum_to_one():
     for b in (2, 4, 6, 8, 10):
         for p in (0.27, 0.5, 0.73):
