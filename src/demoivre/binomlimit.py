@@ -23,6 +23,7 @@ independent oracle.  Band endpoints are inclusive throughout.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,6 @@ from operator import mul
 from .exactnum import binomial_coefficient, check_double, check_index, exact_input
 
 RATIONAL_LIMIT = 4096
-MAX_WORKERS = 32
 _SIM_CHUNK = 4096
 
 # The kernel's mass past |t| = 67/16 is erfc(67/16 * sqrt(2)) < 2^-54, half
@@ -347,44 +347,41 @@ def sample_size(p, c, alpha) -> int:
             return n
 
 
-def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int, workers: int | None = None) -> float:
+def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int) -> float:
     """Empirical band frequency over seeded replications.
 
-    Replications are split into fixed 4096-rep chunks; chunk i draws from
-    a PCG64 generator seeded by SeedSequence([seed, i]) and results are
-    combined in chunk order, so the output is bit-identical for a given
-    (seed, reps, n) regardless of the worker count, which may be None or
-    0..MAX_WORKERS.
+    Replications are split into 4096-rep chunks; the chunk that starts at
+    rep s has index s // 4096 and draws from a PCG64 generator seeded by
+    SeedSequence([seed, index]).  The in-band counts are integers, so their
+    sum, and the output, is bit-identical for a given (spec, c, reps, seed)
+    whatever the thread count.  That count is min(os.cpu_count(), chunks):
+    each thread counts every threads-th chunk, and a single chunk (or CPU)
+    runs in this thread with no pool.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    if workers is not None and not 0 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must lie in 0..{MAX_WORKERS}, got {workers}")
     check_index(spec.n, "n")
     check_index(reps, "reps")
     import numpy as np
 
     lo, hi = band_bounds(spec, c)
     p = float(spec.p)
+    starts = range(0, reps, _SIM_CHUNK)
+    threads = min(os.cpu_count() or 1, len(starts))
 
-    def run_chunk(index: int, size: int) -> int:
-        rng = np.random.default_rng([seed, index])
-        counts = rng.binomial(spec.n, p, size=size)
-        return int(np.count_nonzero((counts >= lo) & (counts <= hi)))
+    def count(first: int) -> int:
+        inside = 0
+        for start in starts[first::threads]:
+            rng = np.random.default_rng([seed, start // _SIM_CHUNK])
+            draws = rng.binomial(spec.n, p, size=min(_SIM_CHUNK, reps - start))
+            inside += int(np.count_nonzero((draws >= lo) & (draws <= hi)))
+        return inside
 
-    sizes = []
-    left = reps
-    while left > 0:
-        sizes.append(min(_SIM_CHUNK, left))
-        left -= sizes[-1]
-
-    if workers and workers > 1:
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            inside = sum(pool.map(run_chunk, range(len(sizes)), sizes))
-    else:
-        inside = sum(run_chunk(i, m) for i, m in enumerate(sizes))
-    return inside / reps
+        with ThreadPoolExecutor(threads) as pool:
+            return sum(pool.map(count, range(threads))) / reps
+    return count(0) / reps

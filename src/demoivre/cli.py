@@ -308,9 +308,8 @@ COMMANDS = tuple(Command(op, tuple(path.split()), args, call, provenance) for op
     ("binomlimit.sample_size", "binom sample-size", dict(p=FRACTION, c=FRACTION, alpha=FRACTION),
      lambda a: binomlimit.sample_size(a.p, a.c, a.alpha),
      "trial-count problem of Ars Conjectandi Part IV (Bernoulli, 1713)"),
-    ("binomlimit.simulate_band", "binom simulate",
-     dict(n=INT, c=FLOAT, reps=INT, seed=INT, p=P_HALF, workers=dict(type=int)),
-     lambda a: binomlimit.simulate_band(binomlimit.TrialSpec(a.n, a.p), a.c, a.reps, a.seed, a.workers),
+    ("binomlimit.simulate_band", "binom simulate", dict(n=INT, c=FLOAT, reps=INT, seed=INT, p=P_HALF),
+     lambda a: binomlimit.simulate_band(binomlimit.TrialSpec(a.n, a.p), a.c, a.reps, a.seed),
      "empirical confirmation of the central-band rule by repeated trials"),
     ("recurrence.duration_exceeds_exact", "duration exact", DURATION,
      lambda a: recurrence.duration_exceeds_exact(recurrence.DurationSpec(a.b, a.p, a.n)),

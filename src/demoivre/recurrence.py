@@ -65,13 +65,16 @@ class Recurrence:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Sum of coefficient * root^n terms; realness asserts conjugate pairing."""
+    """Sum of coefficient * root^n terms, one per distinct root; realness asserts conjugate pairing."""
 
     terms: tuple
     realness: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple((complex(c), complex(r)) for c, r in self.terms))
+        roots = {root for _, root in self.terms}
+        if not roots or len(roots) < len(self.terms):
+            raise ValueError("closed form needs at least one term, each with its own root")
 
 
 def iterate_terms(r: Recurrence, count: int):
@@ -94,43 +97,83 @@ def solve_recurrence(r: Recurrence) -> ClosedForm:
     """
     import numpy as np
 
-    k = r.order
     roots = np.roots([1.0] + [-b for b in r.coefficients])
+    vander, scale = _vandermonde(roots)
+    if np.linalg.cond(vander / scale) * sys.float_info.epsilon > RESIDUE_TOLERANCE:
+        a, b = min(itertools.combinations(roots, 2), key=lambda pair: abs(pair[0] - pair[1]))
+        raise DegenerateSpectrumError(f"characteristic roots {a:.6g} and {b:.6g} are not separated")
+    coeffs = np.linalg.solve(vander, np.array(r.initial_terms, dtype=complex))
+    return ClosedForm(tuple(zip(coeffs, roots)), realness=True)
+
+
+def _vandermonde(roots):
+    """The matrix V of root_j^n for n < k (k roots), and its column maxima.
+
+    V scaled to unit column maxima gives solve_recurrence its conditioning
+    test and _real_sum its error bound.  A root power past the double range
+    is an ArithmeticError naming the root.
+    """
+    import numpy as np
+
+    k = len(roots)
+    roots = np.asarray(roots)
     with np.errstate(over="ignore"):  # an overflowed power is refused just below
         vander = np.array([[roots[j] ** n for j in range(k)] for n in range(k)], dtype=complex)
     if not np.isfinite(vander).all():
         raise ArithmeticError(f"characteristic root {max(roots, key=abs):.6g} to the power {k - 1} overflows a double")
-    if np.linalg.cond(vander / abs(vander).max(axis=0)) * sys.float_info.epsilon > RESIDUE_TOLERANCE:
-        a, b = min(itertools.combinations(roots, 2), key=lambda pair: abs(pair[0] - pair[1]))
-        raise DegenerateSpectrumError(f"characteristic roots {a:.6g} and {b:.6g} are not separated")
-    coeffs = np.linalg.solve(vander, np.array(r.initial_terms, dtype=complex))
-    return ClosedForm(tuple((coeffs[j], roots[j]) for j in range(k)), realness=True)
+    return vander, abs(vander).max(axis=0)
 
 
-def _real_sum(pieces, realness: bool, what: str, n: int) -> float:
-    """Real part of the sum of the complex pieces, which are formed here.
+def _real_sum(cf: ClosedForm, piece, what: str, n: int) -> float:
+    """Real part of the sum of the closed form's pieces, each formed here as piece(c, root).
 
-    An overflow or a non-finite sum is an ArithmeticError: `what` leaves the
-    double range at n.  When realness holds, an imaginary part above
-    RESIDUE_TOLERANCE * max(1, max |piece|) is refused; else it is dropped.
+    piece returns the value c*f and the factor f that multiplies c (root^n
+    for a term).  An overflow or a non-finite sum is an ArithmeticError:
+    `what` leaves the double range at n.  When realness holds, an imaginary
+    part above RESIDUE_TOLERANCE * max(1, max |piece|) is refused; else it is
+    dropped.
+
+    The solved c carries the rounding of its Vandermonde solve into the sum,
+    even where the exact c is 0 (roots 1.5 and 1, every term 2: the solved c
+    of 1.5^n is 5.9e-16, and 1.5^100 grows it to 242).  With V = S*D scaled
+    to unit column maxima D, a backward-stable solve gives (S + E)*(D*c) = a
+    with |E| <= eps*|S|, so f.c is off by at most about
+    eps * |S| * |D*c| * |w| (2-norms; |S| is taken as the Frobenius norm,
+    which is no smaller and needs no SVD), where S^T w = f/D: w is a_n's
+    weights on the initial terms, scaled.  A sum whose bound exceeds
+    RESIDUE_TOLERANCE * max(1, |sum|) is refused, naming n.  Up to the
+    norm of S this is at most eps * cond(S) * |D*c| * |f/D|, and sharper
+    where f lies along S's large singular directions.
     """
     try:
-        pieces = list(pieces)
-        total = sum(pieces)
+        pairs = [piece(c, root) for c, root in cf.terms]
+        total = sum(value for value, _ in pairs)
         if not cmath.isfinite(total):
             raise OverflowError
     except OverflowError:
         raise ArithmeticError(f"{what} leaves the double range at n={n}") from None
-    if realness and abs(total.imag) > RESIDUE_TOLERANCE * max([1.0, *map(abs, pieces)]):
+    if cf.realness and abs(total.imag) > RESIDUE_TOLERANCE * max([1.0, *(abs(value) for value, _ in pairs)]):
         raise ArithmeticError(f"imaginary residue {total.imag:g} exceeds tolerance at n={n}")
+    import numpy as np
+
+    vander, scale = _vandermonde([root for _, root in cf.terms])
+    scaled = vander / scale
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite or nan bound is refused
+        weights = np.linalg.solve(scaled.T, np.array([f for _, f in pairs], dtype=complex) / scale)
+        coeffs = scale * np.array([c for c, _ in cf.terms])
+    # hypot takes a 2-norm without squaring past the double range (w is 2^1023 at n = 1023)
+    norms = float(np.linalg.norm(scaled)) * math.hypot(*abs(coeffs)) * math.hypot(*abs(weights))
+    bound = sys.float_info.epsilon * norms
+    if not bound <= RESIDUE_TOLERANCE * max(1.0, abs(total.real)):
+        raise ArithmeticError(f"{what} at n={n} is past the closed form's accuracy: its error bound is {bound:.3g}")
     return total.real
 
 
 def eval_closed_form(cf: ClosedForm, n: int) -> float:
-    """Sum of coefficient * root^n; _real_sum refuses an overflow or residue, naming n."""
+    """Sum of coefficient * root^n; _real_sum refuses an overflow, a residue or an inaccurate sum, naming n."""
     if n < 0:
         raise ValueError("index must be non-negative")
-    return _real_sum((c * r**n for c, r in cf.terms), cf.realness, "a_n", n)
+    return _real_sum(cf, lambda c, root: (c * root**n, root**n), "a_n", n)
 
 
 def partial_sum(r: Recurrence, upto: int) -> float:
@@ -138,14 +181,18 @@ def partial_sum(r: Recurrence, upto: int) -> float:
 
     A root within 1e-8 of 1 contributes coefficient*(upto+1); any other
     root contributes coefficient*(root^(upto+1) - 1)/(root - 1).  _real_sum
-    refuses an overflow or imaginary residue, naming n = upto.
+    refuses an overflow, a residue or an inaccurate sum, naming n = upto.
     """
     if upto < 0:
         raise ValueError("index must be non-negative")
-    cf = solve_recurrence(r)
-    pieces = (c * (upto + 1) if abs(root - 1.0) <= ROOT_SEPARATION else c * (root ** (upto + 1) - 1.0) / (root - 1.0)
-              for c, root in cf.terms)
-    return _real_sum(pieces, cf.realness, "a_0 + ... + a_n", upto)
+
+    def geometric(c, root):
+        if abs(root - 1.0) <= ROOT_SEPARATION:
+            return c * (upto + 1), upto + 1
+        rise = root ** (upto + 1) - 1.0
+        return c * rise / (root - 1.0), rise / (root - 1.0)
+
+    return _real_sum(solve_recurrence(r), geometric, "a_0 + ... + a_n", upto)
 
 
 @dataclass(frozen=True)

@@ -106,30 +106,43 @@ def multinomial_coefficient_terms(m: int, p: int):
     at least the one before it, and the count is carried along: placing
     the k-th part, which makes a run of r equal parts, multiplies the
     count of the first k - 1 parts by k / r, and every such prefix count
-    is itself a multinomial coefficient, so the division is exact.
+    is itself a multinomial coefficient, so the division is exact.  The
+    enumeration is a loop, not a recursion, so p may pass the interpreter's
+    recursion limit: the last two parts are placed together, and the next
+    prefix raises its rightmost part that can grow by one and sets every
+    part after it to that value.
     """
     if p < 1:
         raise ValueError("power must be >= 1")
     if m < p:
         return []
+    pair = p - 2  # parts[pair] and parts[pair + 1] are placed together
+    if pair < 0:
+        return [((m,), 1)]
     out = []
-    parts = [0] * p
-
-    def place(k, least, remaining, count, run):
-        # parts[:k] are placed; parts[k:] are each >= least and sum to remaining
-        left = p - k
-        if left == 1:
-            parts[k] = remaining
-            run = run + 1 if remaining == least else 1
-            out.append((tuple(parts), count * p // run))
-            return
-        for part in range(least, remaining // left + 1):
-            parts[k] = part
-            r = run + 1 if part == least else 1
-            place(k + 1, part, remaining - part, count * (k + 1) // r, r)
-
-    place(0, 1, m, 1, 0)
-    return out
+    parts = [1] * pair
+    counts = [1] * (p - 1)  # counts[k]: the count of parts[:k]
+    runs = [0] * (p - 1)  # runs[k]: how many of parts[:k] equal parts[k - 1]
+    rests = [m] * (p - 1)  # rests[k]: m - sum(parts[:k])
+    k, least = 0, 1
+    while True:
+        for j in range(k, pair):
+            parts[j] = least
+            runs[j + 1] = r = runs[j] + 1 if j and least == parts[j - 1] else 1
+            counts[j + 1] = counts[j] * (j + 1) // r
+            rests[j + 1] = rests[j] - least
+        head, count, run, rest = tuple(parts), counts[pair], runs[pair], rests[pair]
+        for a in range(least, rest // 2 + 1):  # parts[pair - 1] is least
+            r = run + 1 if pair and a == least else 1
+            b = rest - a
+            c = count * (p - 1) // r * p
+            out.append((head + (a, b), c // (r + 1) if a == b else c))
+        k = pair - 1
+        while k >= 0 and (parts[k] + 1) * (p - k) > rests[k]:
+            k -= 1
+        if k < 0:
+            return out
+        least = parts[k] + 1
 
 
 def _multinomial_sums(c, p: int, order: int) -> list:

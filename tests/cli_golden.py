@@ -37,11 +37,8 @@ MATY_CSV = f"{DATA}/maty_breslau.csv"
 HUGE = "1" + "0" * 400  # 10^400, past the double range
 
 EDGE_INVOCATIONS = [
-    # --workers: every given count is echoed, the default 0 too; a bad count
-    SIMULATE + ["--workers", "0"],
-    SIMULATE + ["--workers", "1"],
-    SIMULATE + ["--workers", "33"],
-    SIMULATE + ["--workers", "x"],
+    # simulate sizes its own thread pool: --workers is no flag
+    SIMULATE + ["--workers", "2"],
     SIMULATE + ["--seed", "0", "--p", "1/3"],
     # --p and --odds are echoed parsed
     ["num", "odds", "--p", "2/4"],
@@ -141,6 +138,12 @@ EDGE_INVOCATIONS = [
     ["conic", "focal-product", "--a", "1e-160", "--b", "1e-160", "--theta", "0.5"],
     # a tolerance past every float: every count is in the band at n = 1
     ["binom", "sample-size", "--p", "1/3", "--c", "1e400", "--alpha", "1/3"],
+    # a closed form whose solved coefficient of 1.5^n should be 0: every term is 2
+    ["recur", "eval", "--coeffs", "2.5,-1.5", "--init", "2,2", "--n", "100"],
+    ["recur", "sum", "--coeffs", "2.5,-1.5", "--init", "2,2", "--upto", "100"],
+    # more parts than the interpreter's recursion limit
+    ["series", "multinomial", "--degree", "1000", "--power", "1000"],
+    ["series", "raise", "--coeffs", "1", "--power", "1000", "--order", "1000"],
     # a closed form whose product of weight differences underflows to 0
     ["duration", "closed", "--b", "1200", "--p", "0.3", "--n", "100"],
     # integers past the double range or past sys.maxsize are refused by name

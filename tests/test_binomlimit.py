@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from demoivre import binomlimit
 from demoivre.binomlimit import (
     _QUAD_LIMIT,
     GAUSS_CUTOFF,
-    MAX_WORKERS,
     TrialSpec,
     _band_mass,
     _gauss_kernel,
@@ -536,18 +536,25 @@ def test_simulate_band_concentration_and_determinism():
     assert simulate_band(spec, 1.0, 10_000, seed=1733) == first
 
 
-def test_simulate_band_worker_invariance():
+def test_simulate_band_worker_invariance(monkeypatch):
+    # the pool takes min(os.cpu_count(), chunks) threads; 9999 reps are 3 chunks
     spec = TrialSpec(900, HALF)
     baseline = simulate_band(spec, 1.0, 9999, seed=42)
-    for workers in (1, 2, 4):
-        assert simulate_band(spec, 1.0, 9999, seed=42, workers=workers) == baseline
+    for cpus in (1, 2, 4, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert simulate_band(spec, 1.0, 9999, seed=42) == baseline
 
 
-def test_simulate_band_rejects_worker_counts_out_of_range():
-    # the check runs before a thread pool is built, so no thread starts here
-    for workers in (MAX_WORKERS + 1, -1):
-        with pytest.raises(ValueError, match="workers"):
-            simulate_band(TrialSpec(10, HALF), 1.0, 10, seed=1, workers=workers)
+@pytest.mark.parametrize("n, reps, seed, p, bits", [
+    (3600, 500_000, 1733, HALF, "0x1.6141e9af5ba2cp-1"),
+    (100, 500, 11, HALF, "0x1.8f5c28f5c28f6p-1"),
+    (100, 4097, 7, Fraction(1, 3), "0x1.69496b69496b7p-1"),
+    (50, 12288, 3, Fraction(2, 5), "0x1.5e40000000000p-1"),
+    (1, 1, 0, HALF, "0x1.0000000000000p+0"),
+])
+def test_simulate_band_chunk_plan_keeps_its_bits(n, reps, seed, p, bits):
+    # a partial last chunk (4097), whole chunks (12288), one chunk and one rep
+    assert simulate_band(TrialSpec(n, p), 1.0, reps, seed).hex() == bits
 
 
 def test_simulate_band_refuses_reps_past_sys_maxsize_by_name():

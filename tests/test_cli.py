@@ -339,15 +339,6 @@ def test_duration_walk_and_large_binomial_leave_numpy_unloaded():
     assert run_fresh(["-c", code]) == (0, "False\n", "")
 
 
-@pytest.mark.parametrize("workers", ["33", "-1"])
-def test_simulate_worker_count_out_of_range_exits_3(workers):
-    code, out, err = run(["binom", "simulate", "--n", "100", "--c", "1", "--reps", "10", "--seed", "1",
-                          "--workers", workers])
-    assert code == 3
-    assert out == ""
-    assert "workers must lie in 0..32" in err
-
-
 @pytest.mark.parametrize("argv, name", [
     (["binom", "term", "--n", HUGE, "--l", "0"], "n"),
     (["binom", "term", "--n", "100", "--l", HUGE], "l"),
@@ -411,11 +402,23 @@ def test_simulate_requires_seed():
     assert code == 2
 
 
-def test_simulate_worker_flag_does_not_change_output():
-    base = ["binom", "simulate", "--n", "400", "--c", "1", "--reps", "2000", "--seed", "5"]
-    plain = run_json(base)
-    threaded = run_json(base + ["--workers", "4"])
-    assert plain["result"] == threaded["result"]
+def test_simulate_sizes_its_own_pool_and_has_no_workers_flag(capsys):
+    code, out, _ = run(["binom", "simulate", "--n", "400", "--c", "1", "--reps", "2000", "--seed", "5",
+                        "--workers", "4"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --workers 4" in capsys.readouterr().err
+    # one chunk, or one CPU, runs without a pool: concurrent.futures is never imported
+    code = (
+        "import os, sys\n"
+        "from demoivre import cli\n"
+        "simulate = ['binom', 'simulate', '--n', '100', '--c', '1', '--seed', '1', '--reps']\n"
+        "assert cli.dispatch(simulate + ['4096'])[0] == 0\n"
+        "loaded = 'concurrent.futures' in sys.modules\n"
+        "os.cpu_count = lambda: 1\n"
+        "assert cli.dispatch(simulate + ['10000'])[0] == 0\n"
+        "print(loaded, 'concurrent.futures' in sys.modules)\n"
+    )
+    assert run_fresh(["-c", code]) == (0, "False False\n", "")
 
 
 def test_tail_extrapolation_flagged_in_maty_outputs():

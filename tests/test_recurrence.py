@@ -168,6 +168,64 @@ def test_clustered_roots_exit_3(argv):
     assert err.startswith("error: characteristic roots ") and err.endswith(" are not separated\n")
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [  # every term is 2; these exited 0 with 242.73257611643842, 9.7872519616985711e+19,
+        # 924.19772834930927 (true 202) and -1.56e193
+        (["recur", "eval", "--coeffs", "2.5,-1.5", "--init", "2,2", "--n", "100"], 100),
+        (["recur", "eval", "--coeffs", "2.5,-1.5", "--init", "2,2", "--n", "200"], 200),
+        (["recur", "sum", "--coeffs", "2.5,-1.5", "--init", "2,2", "--upto", "100"], 100),
+        (["recur", "eval", "--coeffs", "2.1,-1.1", "--init", "2,2", "--n", "5000"], 5000),
+    ],
+)
+def test_a_vanishing_dominant_root_exits_3_naming_n(argv, n):
+    code, out, err = cli.dispatch(argv)
+    assert (code, out) == (3, "")
+    assert f" at n={n} is past the closed form's accuracy: its error bound is " in err, err
+
+
+def exact_terms(rec, count):
+    """The first count terms in rational arithmetic (the floats of rec are taken exactly)."""
+    coeffs = [Fraction(b) for b in rec.coefficients]
+    out = [Fraction(a) for a in rec.initial_terms]
+    while len(out) < count:
+        out.append(sum(b * out[-i - 1] for i, b in enumerate(coeffs)))
+    return out
+
+
+# The dominant root's coefficient is exactly 0: the initial terms come from the
+# other roots alone, so the solved coefficient of the dominant root is rounding,
+# which its powers grow.  Every value the bound lets through must still be close.
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([-2.0, -1.75, -1.5, -1.25, 1.25, 1.5, 1.75, 2.0]),
+    st.lists(st.tuples(st.integers(-4, 4).filter(bool), st.integers(-3, 3)), min_size=1, max_size=3,
+             unique_by=lambda t: t[0]),
+)
+@example(1.5, [(4, 2)])  # coefficients 2.5, -1.5 and every term 2
+def test_accepted_values_are_close_when_the_dominant_root_vanishes(dominant, others):
+    roots = [dominant] + [k / 4 for k, _ in others]
+    init = [float(sum(c * Fraction(k, 4) ** n for k, c in others)) for n in range(len(roots))]
+    rec = Recurrence(polynomial_from_roots(roots), tuple(init))
+    cf = solve_recurrence(rec)
+    terms = exact_terms(rec, 201)
+    for n in range(0, 201, 5):
+        for route, exact in ((lambda: eval_closed_form(cf, n), terms[n]), (lambda: partial_sum(rec, n), sum(terms[: n + 1]))):
+            try:
+                value = route()
+            except ArithmeticError as exc:
+                assert f"n={n} " in str(exc)
+                continue
+            assert abs(value - exact) <= 1e-9 * max(1, abs(exact)), (n, value, float(exact))
+
+
+def test_closed_form_needs_a_term_per_root():
+    # the accuracy bound solves with the roots' Vandermonde matrix, singular for a repeated root
+    for terms in ((), ((1.0, 2.0), (1.0, 2.0))):
+        with pytest.raises(ValueError, match="at least one term, each with its own root"):
+            ClosedForm(terms)
+
+
 # np.roots splits an m-fold root by about eps^(1/m): a triple root at 1 came
 # back 1.1e-5 apart, past the old pairwise test, and a_n = n^2 printed
 # 9999.9857416152954 at n = 100.  Roots k/4 keep the coefficients exact, and

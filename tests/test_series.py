@@ -202,6 +202,18 @@ def test_multinomial_terms_examples():
     assert multinomial_coefficient_terms(1, 2) == []
 
 
+def test_multinomial_terms_match_the_oracle_in_order():
+    for m in range(13):
+        for p in range(1, 9):
+            assert multinomial_coefficient_terms(m, p) == multinomial_oracle(m, p), (m, p)
+
+
+def test_multinomial_terms_past_the_recursion_limit():
+    # the enumeration recursed once per part: p = 1000 was a raw RecursionError
+    assert multinomial_coefficient_terms(5000, 5000) == [((1,) * 5000, 1)]
+    assert multinomial_coefficient_terms(5001, 5000) == [((1,) * 4999 + (2,), 5000)]
+
+
 def test_multinomial_counts_sum_to_all_ones_expansion():
     # setting every letter to 1 turns the multiset counts into the x^m
     # coefficient of (x + x^2 + ... )^p
