@@ -397,7 +397,7 @@ def build_parser():
         leaf = groups[group].add_parser(name, parents=[common])
         for dest, kwargs in command.args.items():
             leaf.add_argument("--" + dest.replace("_", "-"), **kwargs)
-        leaf.set_defaults(op=command.op)
+        leaf.set_defaults(op=command.op, leaf=leaf)
     return parser
 
 
@@ -428,10 +428,16 @@ class CommandResult:
 
 
 def dispatch(argv):
-    """Run one command; returns (exit status, stdout text, stderr text)."""
+    """Run one command; returns (exit status, stdout text, stderr text).
+
+    Arguments left over once a leaf is parsed are reported with that
+    leaf's usage, as argparse's parse_args would report them with the root's.
+    """
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.leaf.error("unrecognized arguments: " + " ".join(extra))
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return (0 if code == 0 else 2), "", ""

@@ -14,12 +14,13 @@ rational sum, so prices are deterministic to the last bit for a given
 table, age and rate; a price past the double range is an OverflowError
 naming its age.
 
-The bundled Breslau-style table starts from 646 survivors at age 12 and
-follows the narrative death schedule (6 a year to 25, 7 to 29, 8 to 34,
-9 to 42, 10 to 49, 11 to 54, back to 10 up to 70, 11 to 74, 10 to 78,
-then 9, 8, 7, 6, and 3, 2, 2, 2 down to 20 alive at 86).  Past 86 the
-survivors run linearly down to 0 at 96 (2 deaths a year); that
-extrapolated tail is marked on the table so downstream output can flag it.
+The built-in Breslau-style table, reconstruct_maty_table(), starts from
+646 survivors at age 12 and follows the narrative death schedule (6 a
+year to 25, 7 to 29, 8 to 34, 9 to 42, 10 to 49, 11 to 54, back to 10 up
+to 70, 11 to 74, 10 to 78, then 9, 8, 7, 6, and 3, 2, 2, 2 down to 20
+alive at 86).  Past 86 the survivors run linearly down to 0 at 96 (2
+deaths a year); that extrapolated tail is marked on the table so
+downstream output can flag it.
 """
 
 from __future__ import annotations
@@ -28,12 +29,9 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from operator import mul
 
 from .exactnum import check_index
-
-MATY_CSV = "maty_breslau.csv"
 
 # (age span, deaths per year) runs of the narrative schedule, from age 12
 NARRATIVE_DEATHS = (
@@ -169,18 +167,6 @@ def load_table(path) -> LifeTable:
     if not ages:
         raise ValueError("line 2: table has no rows")
     return LifeTable(ages[0], tuple(survivors))
-
-
-def bundled_table_path():
-    """Path of the shipped CSV copy of the reconstructed table."""
-    return resources.files("demoivre").joinpath("data", MATY_CSV)
-
-
-def write_table_csv(table: LifeTable, handle):
-    writer = csv.writer(handle)
-    writer.writerow(["age", "lx"])
-    for age, value in table.rows():
-        writer.writerow([age, value])
 
 
 def _check_age(model, x: int):

@@ -23,12 +23,12 @@ import cmath
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exactnum import check_double, check_index
 
-ROOT_SEPARATION = 1e-8
 RESIDUE_TOLERANCE = 1e-12
+UNDERFLOW_STAKES = 1086  # the least even b whose closed form underflows at p = 1/2
 
 
 class DegenerateSpectrumError(ValueError):
@@ -65,10 +65,10 @@ class Recurrence:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Sum of coefficient * root^n terms, one per distinct root; realness asserts conjugate pairing."""
+    """Sum of coefficient * root^n terms, one per distinct root; realness is always True: sums are real."""
 
     terms: tuple
-    realness: bool = True
+    realness: bool = field(default=True, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple((complex(c), complex(r)) for c, r in self.terms))
@@ -103,7 +103,7 @@ def solve_recurrence(r: Recurrence) -> ClosedForm:
         a, b = min(itertools.combinations(roots, 2), key=lambda pair: abs(pair[0] - pair[1]))
         raise DegenerateSpectrumError(f"characteristic roots {a:.6g} and {b:.6g} are not separated")
     coeffs = np.linalg.solve(vander, np.array(r.initial_terms, dtype=complex))
-    return ClosedForm(tuple(zip(coeffs, roots)), realness=True)
+    return ClosedForm(tuple(zip(coeffs, roots)))
 
 
 def _vandermonde(roots):
@@ -129,9 +129,8 @@ def _real_sum(cf: ClosedForm, piece, what: str, n: int) -> float:
 
     piece returns the value c*f and the factor f that multiplies c (root^n
     for a term).  An overflow or a non-finite sum is an ArithmeticError:
-    `what` leaves the double range at n.  When realness holds, an imaginary
-    part above RESIDUE_TOLERANCE * max(1, max |piece|) is refused; else it is
-    dropped.
+    `what` leaves the double range at n.  An imaginary part above
+    RESIDUE_TOLERANCE * max(1, max |piece|) is refused.
 
     The solved c carries the rounding of its Vandermonde solve into the sum,
     even where the exact c is 0 (roots 1.5 and 1, every term 2: the solved c
@@ -152,7 +151,7 @@ def _real_sum(cf: ClosedForm, piece, what: str, n: int) -> float:
             raise OverflowError
     except OverflowError:
         raise ArithmeticError(f"{what} leaves the double range at n={n}") from None
-    if cf.realness and abs(total.imag) > RESIDUE_TOLERANCE * max([1.0, *(abs(value) for value, _ in pairs)]):
+    if abs(total.imag) > RESIDUE_TOLERANCE * max([1.0, *(abs(value) for value, _ in pairs)]):
         raise ArithmeticError(f"imaginary residue {total.imag:g} exceeds tolerance at n={n}")
     import numpy as np
 
@@ -179,16 +178,22 @@ def eval_closed_form(cf: ClosedForm, n: int) -> float:
 def partial_sum(r: Recurrence, upto: int) -> float:
     """Sum of a_0 .. a_upto from per-root geometric sums.
 
-    A root within 1e-8 of 1 contributes coefficient*(upto+1); any other
-    root contributes coefficient*(root^(upto+1) - 1)/(root - 1).  _real_sum
-    refuses an overflow, a residue or an inaccurate sum, naming n = upto.
+    Each root contributes coefficient * (root^(upto+1) - 1)/(root - 1).  For
+    a real positive root with |z| < 1/16, z = (upto+1) * log1p(root - 1),
+    that difference cancels, so the factor is formed as expm1(z)/(root - 1),
+    or upto + 1 at root 1.  A complex root that close to 1 has its conjugate
+    as close, and solve_recurrence refuses the pair.  _real_sum refuses an
+    overflow, a residue or an inaccurate sum, naming n = upto.
     """
     if upto < 0:
         raise ValueError("index must be non-negative")
 
     def geometric(c, root):
-        if abs(root - 1.0) <= ROOT_SEPARATION:
-            return c * (upto + 1), upto + 1
+        if root.imag == 0 and root.real > 0:
+            z = (upto + 1) * math.log1p(root.real - 1.0)
+            if abs(z) < 1 / 16:
+                factor = upto + 1 if root.real == 1.0 else math.expm1(z) / (root.real - 1.0)
+                return c * factor, factor
         rise = root ** (upto + 1) - 1.0
         return c * rise / (root - 1.0), rise / (root - 1.0)
 
@@ -265,10 +270,15 @@ def duration_weights(b: int, p: float):
 
     A product of differences t_j - t_i that underflows to 0 (b = 1200,
     p = 0.3) leaves no weight to form, so it is refused, naming the walk.
+    At p = 1/2 one does from b = UNDERFLOW_STAKES on, and any other p
+    scales every difference by 4pq < 1, so such a b is refused before its
+    b/2 values of t are formed.
     """
     if b % 2 != 0:
         raise ValueError("closed form is stated for even b only")
     check_double(b, "b")
+    if b >= UNDERFLOW_STAKES:
+        raise _underflow(b, p)
     q = 1.0 - p
     half = b // 2
     t = [2 * p * q * (1 + math.cos((2 * j - 1) * math.pi / b)) for j in range(1, half + 1)]
@@ -282,9 +292,13 @@ def duration_weights(b: int, p: float):
             num *= 1 - t[i]
             den *= t[j] - t[i]
         if den == 0.0:
-            raise ValueError(f"closed form underflows at b = {b}, p = {p}; use duration exact")
+            raise _underflow(b, p)
         weights.append((t[j], num / den))
     return weights
+
+
+def _underflow(b: int, p: float) -> ValueError:
+    return ValueError(f"closed form underflows at b = {b}, p = {p}; use duration exact")
 
 
 def duration_exceeds_closed(spec: DurationSpec) -> float:

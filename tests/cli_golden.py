@@ -3,8 +3,9 @@
 `tests/data/cli_golden.json` holds (exit, stdout, stderr) for every
 `SAMPLE_INVOCATIONS` argv and every edge argv below, each in the default
 (json) and the text format.  `test_cli_golden.py` replays it byte for byte.
-Paths inside the package's data directory are written as `{DATA}` in argvs
-and outputs.  To re-record (only when an output is meant to change):
+Paths inside `tests/data`, where the corpus and the `--table` fixture
+`maty_breslau.csv` live, are written as `{DATA}` in argvs and outputs.
+To re-record (only when an output is meant to change):
 
     PYTHONPATH=src python tests/cli_golden.py
 
@@ -21,14 +22,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-import demoivre
 from demoivre import cli
 
 from cli_cases import SAMPLE_INVOCATIONS
 
 CORPUS_PATH = Path(__file__).with_name("data") / "cli_golden.json"
 DATA = "{DATA}"
-DATA_DIR = os.path.join(os.path.dirname(demoivre.__file__), "data")
+DATA_DIR = str(CORPUS_PATH.parent)
 COLUMNS = "80"  # argparse wraps usage and help text to the terminal width
 
 SIMULATE = ["binom", "simulate", "--n", "100", "--c", "1", "--reps", "200", "--seed", "7"]
@@ -146,6 +146,12 @@ EDGE_INVOCATIONS = [
     ["series", "raise", "--coeffs", "1", "--power", "1000", "--order", "1000"],
     # a closed form whose product of weight differences underflows to 0
     ["duration", "closed", "--b", "1200", "--p", "0.3", "--n", "100"],
+    ["duration", "closed", "--b", "100000000000000000000", "--p", "0.5", "--n", "10"],
+    # a real root near 1, whose geometric sum cancels in root^(upto+1) - 1
+    ["recur", "sum", "--coeffs", "1.000000001", "--init", "1", "--upto", "1000"],
+    ["recur", "sum", "--coeffs", "1.000000001", "--init", "1", "--upto", "1000000"],
+    ["recur", "sum", "--coeffs", "1.00000002", "--init", "1", "--upto", "10"],
+    ["recur", "sum", "--coeffs", "1.000001", "--init", "1", "--upto", "3"],
     # integers past the double range or past sys.maxsize are refused by name
     ["binom", "term", "--n", HUGE, "--l", "0"],
     ["binom", "term", "--n", "100", "--l", HUGE],
@@ -197,8 +203,8 @@ def from_argparse(argv, code) -> bool:
 def capture(argv):
     """(exit, stdout, stderr) of one call as a process sees them, argparse's own text included.
 
-    `{DATA}` in argv stands for the package's data directory, and the
-    directory is written back as `{DATA}` in the output.
+    `{DATA}` in argv stands for `tests/data`, and the directory is
+    written back as `{DATA}` in the output.
     """
     real = [arg.replace(DATA, DATA_DIR) for arg in argv]
     out, err = io.StringIO(), io.StringIO()

@@ -106,6 +106,21 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, leaf, extra",
+    [
+        (["num", "prob", "--odds", "2", "--bogus"], "num prob", "--bogus"),
+        (["binom", "simulate", "--n", "100", "--c", "1", "--reps", "200", "--seed", "7", "--workers", "2"],
+         "binom simulate", "--workers 2"),
+    ],
+)
+def test_an_unknown_flag_is_reported_with_its_leaf_usage(argv, leaf, extra, capsys):
+    assert run(argv) == (2, "", "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: demoivre {leaf} [-h] [--format {{json,text}}]")
+    assert err.endswith(f"demoivre {leaf}: error: unrecognized arguments: {extra}\n")
+
+
 def test_domain_errors_exit_3():
     code, out, err = run(["binom", "remark1", "--n", "3601"])
     assert code == 3

@@ -14,12 +14,10 @@ from demoivre.lifeannuity import (
     RateSpec,
     annuity_value,
     approximation_error_table,
-    bundled_table_path,
     joint_annuity_value,
     load_table,
     reconstruct_maty_table,
     survival_probability,
-    write_table_csv,
 )
 
 CHECKPOINTS = {
@@ -159,18 +157,6 @@ def test_reconstruction_closing_run():
     assert [table.lookup(a) for a in range(79, 87)] == [50, 42, 35, 29, 26, 24, 22, 20]
     # extrapolated tail: two deaths a year down to nothing by age 96
     assert [table.lookup(a) for a in range(87, 96)] == [18, 16, 14, 12, 10, 8, 6, 4, 2]
-
-
-def test_bundled_csv_matches_reconstruction(tmp_path):
-    table = reconstruct_maty_table()
-    shipped = load_table(bundled_table_path())
-    assert shipped.start_age == table.start_age
-    assert shipped.survivors == table.survivors
-    out = tmp_path / "roundtrip.csv"
-    with open(out, "w", newline="") as handle:
-        write_table_csv(table, handle)
-    again = load_table(out)
-    assert again.survivors == table.survivors
 
 
 def test_load_table_error_line_numbers(tmp_path):

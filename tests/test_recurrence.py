@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from demoivre import cli
 from demoivre.recurrence import (
+    UNDERFLOW_STAKES,
     ClosedForm,
     DegenerateSpectrumError,
     DurationSpec,
@@ -75,7 +77,7 @@ def test_eval_conjugate_pair():
 
 
 def test_eval_rejects_unpaired_imaginary():
-    cf = ClosedForm(((1j, 2.0),), realness=True)
+    cf = ClosedForm(((1j, 2.0),))
     with pytest.raises(ArithmeticError):
         eval_closed_form(cf, 3)
 
@@ -126,6 +128,27 @@ def test_partial_sum_matches_accumulation():
         rec = Recurrence(coeffs, tuple(rng.uniform(-2, 2) for _ in range(order)))
         direct = math.fsum(iterate_terms(rec, 41))
         assert abs(partial_sum(rec, 40) - direct) <= 1e-9 * max(1.0, abs(direct))
+
+
+def test_partial_sum_near_a_unit_root_matches_the_exact_sum():
+    # root^(upto+1) - 1 cancels for a real root near 1, and summing upto + 1
+    # terms of 1 drops the ones in upto^2 * |root - 1|
+    for k in range(2, 13):
+        for root in (1 + 10.0**-k, 1 - 10.0**-k):
+            exact_root = Fraction(root)
+            for upto in (0, 1, 3, 10, 100, 1000):
+                exact = (exact_root ** (upto + 1) - 1) / (exact_root - 1)
+                value = partial_sum(Recurrence((root,), (1.0,)), upto)
+                assert abs(Fraction(value) - exact) <= Fraction(1e-14) * exact, (root, upto)
+
+
+@pytest.mark.parametrize("imag", [1e-4, 1e-5, 1e-6, 1e-7])
+def test_a_complex_pair_near_one_is_refused_before_summing(imag):
+    # roots 1 +- imag*i: the pair is as close to each other as to 1, so the
+    # conditioning test refuses it and no complex root meets the near-1 rule
+    rec = Recurrence((2.0, -(1 + imag * imag)), (1.0, 1.0))
+    with pytest.raises(DegenerateSpectrumError, match=r"j and 1-"):
+        partial_sum(rec, 10)
 
 
 @pytest.mark.parametrize(
@@ -339,6 +362,28 @@ def test_duration_walk_refuses_sizes_it_cannot_list_or_loop_by_name():
     for b in (2**62, 2**60 + 1):
         with pytest.raises(ValueError, match=rf"^b must leave room for a list of its {b - (b % 2 == 0)} states"):
             duration_exceeds_exact(DurationSpec(b, 0.5, 4))
+
+
+def test_duration_closed_refuses_a_huge_even_b_at_once():
+    # the refusal comes before b/2 values of t are formed
+    argv = ["duration", "closed", "--b", "100000000000000000000", "--p", "0.5", "--n", "10"]
+    start = time.perf_counter()
+    code, out, err = cli.dispatch(argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "error: closed form underflows at b = 100000000000000000000, p = 0.5; use duration exact\n"
+
+
+def test_underflow_stakes_is_the_least_b_whose_product_of_differences_underflows():
+    def underflows(b):  # duration_weights' products at p = 1/2, where 2pq = 0.5
+        t = [0.5 * (1 + math.cos((2 * j - 1) * math.pi / b)) for j in range(1, b // 2 + 1)]
+        return any(math.prod(t[j] - t[i] for i in range(len(t)) if i != j) == 0.0 for j in range(len(t)))
+
+    assert underflows(UNDERFLOW_STAKES) and not underflows(UNDERFLOW_STAKES - 2)
+    duration_weights(UNDERFLOW_STAKES - 2, 0.5)
+    for b in (UNDERFLOW_STAKES, UNDERFLOW_STAKES + 2, 2000):
+        with pytest.raises(ValueError, match=f"^closed form underflows at b = {b}, p = 0.5; "):
+            duration_weights(b, 0.5)
 
 
 def test_duration_weights_sum_to_one():
