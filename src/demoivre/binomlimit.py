@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice
 from operator import mul
 
-from .exactnum import binomial_coefficient, check_double, check_index, exact_input
+from .exactnum import binomial_coefficient, check_double, check_finite, check_index, exact_input
 
 RATIONAL_LIMIT = 4096
 _SIM_CHUNK = 4096
@@ -62,8 +62,7 @@ class TrialSpec:
 
 
 def _check_multiplier(c) -> None:
-    if not math.isfinite(c):
-        raise ValueError(f"band multiplier c must be finite, got {c!r}")
+    check_finite(c, "band multiplier c")
     if c <= 0:
         raise ValueError("band multiplier must be positive")
 

@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .exactnum import check_double
+from .exactnum import check_double, check_finite
 
 _NORMAL, _LARGEST = sys.float_info.min, sys.float_info.max
 
@@ -38,8 +38,7 @@ class Ellipse:
 
     def __post_init__(self):
         for name, value in (("semi-major axis a", self.a), ("semi-minor axis b", self.b)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            check_finite(value, name)
         if not self.b > 0:
             raise ValueError("semi-minor axis must be positive")
         if self.a < self.b:
@@ -48,11 +47,6 @@ class Ellipse:
     @property
     def focal_distance(self) -> float:
         return math.sqrt(self.a * self.a - self.b * self.b)
-
-
-def _check_angle(theta: float) -> None:
-    if not math.isfinite(theta):
-        raise ValueError(f"angle theta must be finite, got {theta!r}")
 
 
 def _in_double_range(positive: int):
@@ -86,7 +80,7 @@ def focal_product(e: Ellipse, theta: float):
     ellipse point with angle t + pi/2.  The two numbers agree to within
     1e-12 * a^2; a violation would mean a broken evaluation, not geometry.
     """
-    _check_angle(theta)
+    check_finite(theta, "angle theta")
     c = e.focal_distance
     x, y = e.a * math.cos(theta), e.b * math.sin(theta)
     d1 = math.hypot(x - c, y)
@@ -114,14 +108,14 @@ def _force(e: Ellipse, c: float, ct: float, st: float):
 @_in_double_range(1)
 def radius_of_curvature(e: Ellipse, theta: float) -> float:
     """(a^2 sin^2 t + b^2 cos^2 t)^(3/2) / (a*b)."""
-    _check_angle(theta)
+    check_finite(theta, "angle theta")
     return _curvature(e, math.cos(theta), math.sin(theta))
 
 
 @_in_double_range(1)
 def centripetal_force(e: Ellipse, theta: float) -> float:
     """FM / (R * FP^3), force centre at the focus (+c, 0)."""
-    _check_angle(theta)
+    check_finite(theta, "angle theta")
     return _force(e, e.focal_distance, math.cos(theta), math.sin(theta))[0]
 
 

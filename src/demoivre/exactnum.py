@@ -32,6 +32,12 @@ def check_index(n: int, name: str) -> None:
         raise ValueError(f"{name} must be at most sys.maxsize = {sys.maxsize}, got {name} of {n.bit_length()} bits")
 
 
+def check_finite(x, name: str) -> None:
+    """Refuse, naming the parameter, an x that is infinite or NaN."""
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+
+
 def exact_input(x, name: str) -> Fraction:
     """x as a Fraction; a float as the decimal it prints as, refused by name unless finite.
 
@@ -39,8 +45,7 @@ def exact_input(x, name: str) -> Fraction:
     every exact sum; float() of the result is x again.
     """
     if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"{name} must be finite, got {x!r}")
+        check_finite(x, name)
         return Fraction(repr(float(x)))
     return Fraction(x)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .exactnum import check_index
+from .exactnum import check_finite, check_index
 
 # (age span, deaths per year) runs of the narrative schedule, from age 12
 NARRATIVE_DEATHS = (
@@ -112,8 +112,8 @@ class RateSpec:
 
     def __post_init__(self):
         # exact rates are finite, and a huge one need not fit in a float
-        if isinstance(self.i, float) and not math.isfinite(self.i):
-            raise ValueError(f"interest rate i must be finite, got {self.i!r}")
+        if isinstance(self.i, float):
+            check_finite(self.i, "interest rate i")
         if self.i <= -1:
             raise ValueError("interest rate must exceed -1")
 

@@ -25,7 +25,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .exactnum import check_double, check_index
+from .exactnum import check_double, check_finite, check_index
 
 RESIDUE_TOLERANCE = 1e-12
 UNDERFLOW_STAKES = 1086  # the least even b whose closed form underflows at p = 1/2
@@ -55,8 +55,7 @@ class Recurrence:
         named = (("coefficient b", self.coefficients, 1), ("initial term a", self.initial_terms, 0))
         for name, values, first in named:
             for i, x in enumerate(values, start=first):
-                if not math.isfinite(x):
-                    raise ValueError(f"{name}_{i} must be finite, got {x!r}")
+                check_finite(x, f"{name}_{i}")
 
     @property
     def order(self) -> int:
@@ -380,14 +379,12 @@ def demoivre_power(theta: float, n: int):
     longer object and a ValueError naming n*theta is raised instead of an
     unchecked value.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"angle theta must be finite, got {theta!r}")
+    check_finite(theta, "angle theta")
     try:
         angle = n * theta
     except OverflowError:  # n itself has no float value
         raise ValueError(f"angle n*theta must be finite, got n of {n.bit_length()} bits") from None
-    if not math.isfinite(angle):
-        raise ValueError(f"angle n*theta must be finite, got {angle!r}")
+    check_finite(angle, "angle n*theta")
     tolerance = _power_tolerance(angle, n)
     if tolerance >= 1:
         raise ValueError(

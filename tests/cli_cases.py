@@ -1,41 +1,27 @@
-"""Shared CLI invocation samples: one per subcommand (tour/validate chained in tests)."""
+"""Shared CLI invocation samples, taken from the benchmark's grid, and the loader of its modules."""
+
+import functools
+import importlib.util
+import sys
+from pathlib import Path
 
 from demoivre import cli
 
-SAMPLE_INVOCATIONS = [
-    ["num", "factorial", "--n", "12"],
-    ["num", "binom", "--n", "20", "--k", "7"],
-    ["num", "odds", "--p", "28/41"],
-    ["num", "prob", "--odds", "28:13"],
-    ["series", "raise", "--coeffs", "1,1", "--power", "2", "--order", "4"],
-    ["series", "multinomial", "--degree", "4", "--power", "2"],
-    ["series", "revert", "--coeffs", "1,1", "--order", "5"],
-    ["series", "compose", "--f", "0,1", "--g", "1,1", "--order", "4"],
-    ["binom", "exact", "--n", "100", "--c", "1"],
-    ["binom", "term", "--n", "100", "--l", "3"],
-    ["binom", "limit", "--c", "1"],
-    ["binom", "remark1", "--n", "3600"],
-    ["binom", "sample-size", "--p", "1/2", "--c", "1/5", "--alpha", "1/10"],
-    ["binom", "simulate", "--n", "100", "--c", "1", "--reps", "500", "--seed", "11"],
-    ["duration", "exact", "--b", "4", "--p", "0.45", "--n", "10"],
-    ["duration", "closed", "--b", "4", "--p", "0.45", "--n", "10"],
-    ["recur", "solve", "--coeffs", "1,1", "--init", "0,1"],
-    ["recur", "eval", "--coeffs", "1,1", "--init", "0,1", "--n", "10"],
-    ["recur", "sum", "--coeffs", "2", "--init", "1", "--upto", "5"],
-    ["factor", "unity", "--n", "6", "--sign", "-1"],
-    ["factor", "power", "--theta", "0.37", "--n", "17"],
-    ["annuity", "table", "--maty"],
-    ["annuity", "survival", "--law", "86", "--age", "50", "--t", "18"],
-    ["annuity", "value", "--maty", "--age", "50", "--rate", "0.05"],
-    ["annuity", "joint", "--law", "86", "--age-a", "50", "--age-b", "60", "--rate", "0.05"],
-    ["annuity", "error-table", "--maty", "--ages", "20,50", "--rates", "0.03,0.05"],
-    ["conic", "focal-product", "--a", "2", "--b", "1", "--theta", "0.5"],
-    ["conic", "curvature", "--a", "2", "--b", "1", "--theta", "0.5"],
-    ["conic", "force", "--a", "2", "--b", "1", "--theta", "0.5"],
-    ["conic", "inverse-square", "--a", "2", "--b", "1", "--samples", "90"],
-    ["games", "deck-odds", "--size", "32"],
-    ["games", "tour", "--start", "a1"],
-]
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+@functools.cache
+def load_bench(name):
+    """`bench/<name>.py` as a module, loaded from its file and only read."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look up their defining module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+# one call per subcommand: the first variant of each row of the benchmark's CLI mix
+SAMPLE_INVOCATIONS = [variants[0] for variants in load_bench("cases").CLI_MIX]
 
 
 def rebuild_argv(payload):

@@ -1,16 +1,24 @@
-"""Golden CLI corpus: argvs, how one call is captured, and how the corpus is recorded.
+"""Pinned outputs: the golden CLI corpus and the kernel store, and how both are recorded.
 
-`tests/data/cli_golden.json` holds (exit, stdout, stderr) for every
-`SAMPLE_INVOCATIONS` argv and every edge argv below, each in the default
-(json) and the text format.  `test_cli_golden.py` replays it byte for byte.
-Paths inside `tests/data`, where the corpus and the `--table` fixture
-`maty_breslau.csv` live, are written as `{DATA}` in argvs and outputs.
-To re-record (only when an output is meant to change):
+`tests/data/cli_golden.json` holds (exit, stdout, stderr) for every argv of
+the benchmark's CLI mix (`CLI_MIX` in `bench/cases.py`) and every edge argv
+below, each in the default (json) and the text format; an argv that sets
+`--format` itself is recorded once.  `test_cli_golden.py` replays it byte
+for byte.  Paths inside `tests/data`, where the corpus and the `--table`
+fixture `maty_breslau.csv` live, are written as `{DATA}` in argvs and outputs.
+
+`tests/data/kernel_golden.json` maps the key of every call of the
+benchmark's kernel grids (both workloads, both sizes) to the canonical text
+of its result as the benchmark stores it (`stored(canon(result))`), and
+`test_cli_golden.py` recomputes every key.
+
+To re-record both (only when an output is meant to change):
 
     PYTHONPATH=src python tests/cli_golden.py
 
-The recorder prints each entry that moved (its old and new bytes) and the
-count of entries added and dropped, against the corpus it replaces.
+The recorder runs every kernel call's oracle check before it writes
+anything.  It then prints, for each store, every entry that moved (its old
+and new bytes) and the count of entries added and dropped.
 """
 
 from __future__ import annotations
@@ -24,9 +32,11 @@ from pathlib import Path
 
 from demoivre import cli
 
-from cli_cases import SAMPLE_INVOCATIONS
+from cli_cases import load_bench
 
+CASES = load_bench("cases")
 CORPUS_PATH = Path(__file__).with_name("data") / "cli_golden.json"
+KERNEL_PATH = CORPUS_PATH.with_name("kernel_golden.json")
 DATA = "{DATA}"
 DATA_DIR = str(CORPUS_PATH.parent)
 COLUMNS = "80"  # argparse wraps usage and help text to the terminal width
@@ -54,6 +64,8 @@ EDGE_INVOCATIONS = [
     ["num", "prob", "--odds", "0:0"],
     ["num", "prob", "--odds", "2", "--bogus"],
     ["num", "prob", "--odds", "2", "--format", "xml"],
+    # an unknown format is refused even when a later --format is known
+    ["num", "prob", "--odds", "2", "--format", "xml", "--format", "text"],
     # --real
     ["series", "raise", "--real", "--coeffs", "0.5,1", "--power", "3", "--order", "4"],
     ["series", "revert", "--real", "--coeffs", "2,1", "--order", "4"],
@@ -186,15 +198,6 @@ EDGE_INVOCATIONS = [
 ]
 
 
-def tour_invocations():
-    """`games validate` on the a1 tour and on the same tour with two squares swapped."""
-    code, out, _ = cli.dispatch(["games", "tour", "--start", "a1"])
-    assert code == 0
-    squares = json.loads(out)["result"].split()
-    swapped = squares[:1] + squares[2:3] + squares[1:2] + squares[3:]
-    return [["games", "validate", "--squares", " ".join(tour)] for tour in (squares, swapped)]
-
-
 def from_argparse(argv, code) -> bool:
     """Whether the call's output is argparse's own usage, error or help text."""
     return code == 2 or "-h" in argv or "--help" in argv
@@ -214,35 +217,65 @@ def capture(argv):
 
 
 def corpus_argvs():
-    base = SAMPLE_INVOCATIONS + tour_invocations() + EDGE_INVOCATIONS
-    return [argv + extra for argv in base for extra in ([], ["--format", "text"])]
+    """Every argv of the CLI mix and the edge list, as given and in text format, each once."""
+    argvs = {}
+    for argv in [argv for variants in CASES.CLI_MIX for argv in variants] + EDGE_INVOCATIONS:
+        for extra in ([],) if "--format" in argv else ([], ["--format", "text"]):
+            argvs.setdefault(json.dumps(argv + extra), argv + extra)
+    return list(argvs.values())
 
 
-def report(old_cases, cases):
-    """Print the entries of cases that moved from old_cases, then the counts added and dropped."""
-    old = {json.dumps(case["argv"]): case for case in old_cases}
-    new = {json.dumps(case["argv"]): case for case in cases}
+def grid_calls():
+    """The calls of every kernel grid, both workloads and both sizes, one list per grid."""
+    return [list(CASES.all_calls(build(small))) for build in CASES.KERNELS.values() for small in (True, False)]
+
+
+def kernel_outputs():
+    """Stored canonical text of every kernel grid call's result, by key; exits if an oracle objects."""
+    outputs = {}
+    for calls in grid_calls():
+        results = {call.key: call.fn() for call in calls}  # in order: a grouped call reads the one before
+        for call in calls:
+            problem = call.check(results[call.key], results) if call.check else None
+            if problem:
+                raise SystemExit(f"oracle check failed, nothing recorded: {problem}")
+            outputs[call.key] = CASES.stored(CASES.canon(results[call.key]))
+    return outputs
+
+
+def report(name, old, new):
+    """Print each entry of new that moved from old, then the counts added and dropped."""
     for key in new:
-        for field in ("exit", "stdout", "stderr"):
-            if key in old and new[key][field] != old[key][field]:
-                print(f"moved {key} {field}: {old[key][field]!r} -> {new[key][field]!r}")
-    print(f"added {len(new.keys() - old.keys())}, dropped {len(old.keys() - new.keys())}")
+        if key in old and new[key] != old[key]:
+            print(f"{name} moved {key}: {old[key]!r} -> {new[key]!r}")
+    print(f"{name}: added {len(new.keys() - old.keys())}, dropped {len(old.keys() - new.keys())}")
+
+
+def by_argv(cases):
+    return {json.dumps(case["argv"]): (case["exit"], case["stdout"], case["stderr"]) for case in cases}
+
+
+def write(path, content):
+    with open(path, "w") as handle:
+        json.dump(content, handle, indent=1)
+        handle.write("\n")
 
 
 def record():
+    kernels = kernel_outputs()
     os.environ["COLUMNS"] = COLUMNS
     cases = []
     for argv in corpus_argvs():
         code, out, err = capture(argv)
         cases.append({"argv": argv, "exit": code, "stdout": out, "stderr": err})
-    if CORPUS_PATH.exists():
-        report(json.loads(CORPUS_PATH.read_text())["cases"], cases)
-    corpus = {"python": "%d.%d" % sys.version_info[:2], "cases": cases}
+    old_cases = json.loads(CORPUS_PATH.read_text())["cases"] if CORPUS_PATH.exists() else []
+    report(CORPUS_PATH.name, by_argv(old_cases), by_argv(cases))
+    old_kernels = json.loads(KERNEL_PATH.read_text()) if KERNEL_PATH.exists() else {}
+    report(KERNEL_PATH.name, old_kernels, kernels)
     CORPUS_PATH.parent.mkdir(exist_ok=True)
-    with open(CORPUS_PATH, "w") as handle:
-        json.dump(corpus, handle, indent=1)
-        handle.write("\n")
-    print(f"recorded {len(cases)} calls in {CORPUS_PATH}")
+    write(CORPUS_PATH, {"python": "%d.%d" % sys.version_info[:2], "cases": cases})
+    write(KERNEL_PATH, dict(sorted(kernels.items())))
+    print(f"recorded {len(cases)} calls in {CORPUS_PATH} and {len(kernels)} results in {KERNEL_PATH}")
 
 
 if __name__ == "__main__":

@@ -1,17 +1,16 @@
-"""The CLI's bytes against the golden corpus, its flag coverage, and the benchmark's phase split."""
+"""The pinned outputs: the CLI's bytes against the golden corpus, the kernel grid against its
+store, both stores' coverage of the benchmark, and the benchmark's phase split."""
 
-import importlib.util
 import json
 import sys
-from pathlib import Path
 
 from demoivre import cli
 
-from cli_cases import SAMPLE_INVOCATIONS
-from cli_golden import COLUMNS, CORPUS_PATH, capture, from_argparse
+from cli_cases import SAMPLE_INVOCATIONS, load_bench
+from cli_golden import CASES, COLUMNS, CORPUS_PATH, KERNEL_PATH, capture, from_argparse, grid_calls, kernel_outputs
 
-ROOT = Path(__file__).resolve().parent.parent
 CORPUS = json.loads(CORPUS_PATH.read_text())
+KERNELS = json.loads(KERNEL_PATH.read_text())
 
 
 def test_every_call_matches_the_golden_corpus(monkeypatch):
@@ -44,15 +43,22 @@ def test_golden_corpus_exercises_every_declared_flag():
     assert not missing
 
 
-def load_bench_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def test_every_kernel_result_matches_the_kernel_store():
+    moved = [(key, KERNELS.get(key), text) for key, text in kernel_outputs().items() if KERNELS.get(key) != text]
+    assert not moved, moved[:3]
+
+
+def test_stores_cover_the_benchmark_grid():
+    grid = {call.key for calls in grid_calls() for call in calls}
+    assert sorted(grid - KERNELS.keys()) == [], "grid keys with no recorded result"
+    assert sorted(KERNELS.keys() - grid) == [], "recorded keys the grid no longer makes"
+    recorded = {json.dumps(case["argv"]) for case in CORPUS["cases"]}
+    unrecorded = [argv for variants in CASES.CLI_MIX for argv in variants if json.dumps(argv) not in recorded]
+    assert unrecorded == [], "CLI mix argvs with no corpus entry"
 
 
 def test_bench_phase_split_reaches_cli_internals():
-    spans = load_bench_spans()
+    spans = load_bench("spans")
     for argv in SAMPLE_INVOCATIONS:
         for full in (argv, argv + ["--format", "text"]):
             tracer = spans.Tracer()
