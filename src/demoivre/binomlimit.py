@@ -4,14 +4,15 @@ Central-band masses P(|X - np| <= c*sqrt(n)/2) are summed exactly in
 rational arithmetic up to n = 4096 (2^n denominators stay affordable
 there) and above as floats: an lgamma-anchored term, ratio walks out
 from it, and one math.fsum.  One kernel, `_band_sum`, takes every exact
-band sum, for the central band and for the sample-size scan alike: an
-integer recurrence steps each binomial coefficient from the last and
-accumulates the terms by Horner's rule, so a band takes one binomial
-coefficient and two big powers in all, not a coefficient and two powers
-per term.  It returns d^n times the mass of p = a/d as an
-integer: the central band divides it by d^n once, and the sample-size
-scan compares it with d^n (1 - alpha) in integers, so that scan takes
-its band edges by integer division and builds no Fraction per n.
+band sum at one n: an integer recurrence steps each binomial coefficient
+from the last and accumulates the terms by Horner's rule, so a band takes
+one binomial coefficient and two big powers in all, not a coefficient and
+two powers per term.  It returns d^n times the mass of p = a/d as an
+integer, which the central band divides by d^n once.  The sample-size
+scan does not take a fresh band per n: it carries d^n times the band's
+mass and the band's two edge terms from n to n + 1 by De Moivre's
+recurrence in n (Pascal's rule), O(1) big-integer steps per n, and
+compares the mass with d^n (1 - alpha) in integers.
 The limiting band probability, the one integral here, integrates the
 kernel (2/sqrt(2*pi))*exp(-2 t^2) over |t| <= c/2 by a port of QUADPACK's
 QAGS, with scipy.integrate.quad's bits (21-point Gauss-Kronrod rule; the
@@ -30,10 +31,13 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice
 from operator import mul
 
-from .exactnum import binomial_coefficient, check_double, check_finite, check_index, exact_input
+from .exactnum import binomial_coefficient, check_ceiling, check_double, check_finite, check_index, exact_input
 
 RATIONAL_LIMIT = 4096
 _SIM_CHUNK = 4096
+# A rep costs ~30-60 ns, and up to ~250 ns where numpy draws by inversion
+# (n p just under 30), on a 2-CPU Xeon VM: 10^7 reps take at most ~2.5 s.
+SIM_REPS_LIMIT = 10**7
 
 # The kernel's mass past |t| = 67/16 is erfc(67/16 * sqrt(2)) < 2^-54, half
 # an ulp of 1 from below, so the band integral stops there: the integral
@@ -314,11 +318,20 @@ def sample_size(p, c, alpha) -> int:
     as TrialSpec takes p: 0.3 is 3/10.
 
     The scan runs on integers and builds no Fraction per n.  With p = a/d,
-    p - c = ln/ld and p + c = hn/hd, the band of n is
-    ceil(n ln / ld)..floor(n hn / hd) clamped to 0..n.  Its mass times d^n
-    is one unreduced _band_sum, and with 1 - alpha = tn/td the band holds
-    1 - alpha when sum * td >= tn * d^n.  An empty band holds nothing, and
-    the scan goes on.
+    q = d - a, p - c = ln/ld and p + c = hn/hd, the band of n is
+    lo..hi = ceil(n ln / ld)..floor(n hn / hd) clamped to 0..n.  Each edge
+    rises by at most one count per n, and lo <= hi + 1, so an empty band is
+    lo = hi + 1 with sum 0.  The scan carries M = d^n P_n[lo, hi] and the
+    edge terms N_n(lo) and N_n(hi), N_n(k) = C(n, k) a^k q^(n-k), from
+    n = 0 (all three 1) upward by De Moivre's recurrence in n, Pascal's
+    rule N_{n+1}(k) = a N_n(k-1) + q N_n(k) summed over the band:
+    M <- d M + a (N_n(lo - 1) - N_n(hi)) is the mass of lo..hi at n + 1.
+    Each edge term steps by an exact integer ratio, N_{n+1}(k) =
+    N_n(k) (n+1) q / (n+1-k), and N_n(k -+ 1) comes from N_n(k) alike; a
+    rising edge adds or drops one term.  So each n costs O(1) big-integer
+    steps, where a fresh band (_band_sum) costs a binomial coefficient,
+    two big powers and a walk over the band.  With 1 - alpha = tn/td the
+    band holds 1 - alpha when M td >= tn d^n.
     """
     p = exact_input(p, "p")
     c = exact_input(c, "c")
@@ -335,19 +348,29 @@ def sample_size(p, c, alpha) -> int:
     ln, ld = low.numerator, low.denominator
     hn, hd = high.numerator, high.denominator
     tn, td = target.numerator, target.denominator
-    scale = 1  # d^n
-    n = 0
+    n = lo = hi = 0
+    mass = bottom = top = scale = 1  # M, N_n(lo), N_n(hi) and d^n at n = 0
     while True:
         n += 1
+        below = bottom * lo * q // ((n - lo) * a)  # N_{n-1}(lo - 1), 0 at lo = 0
+        mass = d * mass + a * (below - top)  # the band lo..hi of n - 1, at n
         scale *= d
-        lo = max(0, -(-n * ln // ld))
-        hi = min(n, n * hn // hd)
-        if lo <= hi and _band_sum(n, a, q, lo, hi) * td >= tn * scale:
+        bottom = bottom * n * q // (n - lo)
+        top = top * n * q // (n - hi)
+        if hi < n * hn // hd:  # hi stays at most n: it rises by at most one per n
+            top = top * (n - hi) * a // ((hi + 1) * q)
+            hi += 1
+            mass += top
+        if lo < -(-n * ln // ld):
+            mass -= bottom
+            bottom = bottom * (n - lo) * a // ((lo + 1) * q)
+            lo += 1
+        if mass * td >= tn * scale:
             return n
 
 
 def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int) -> float:
-    """Empirical band frequency over seeded replications.
+    """Empirical band frequency over seeded replications, at most SIM_REPS_LIMIT of them.
 
     Replications are split into 4096-rep chunks; the chunk that starts at
     rep s has index s // 4096 and draws from a PCG64 generator seeded by
@@ -363,6 +386,7 @@ def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int) -> float:
         raise ValueError(f"seed must be non-negative, got {seed}")
     check_index(spec.n, "n")
     check_index(reps, "reps")
+    check_ceiling(reps, SIM_REPS_LIMIT, "reps")
     import numpy as np
 
     lo, hi = band_bounds(spec, c)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactnum import Odds, check_index
+from .exactnum import FACTORIAL_LIMIT, Odds, check_ceiling, check_index
 
 BOARD = 8
 SQUARES = BOARD * BOARD
@@ -19,10 +19,11 @@ KNIGHT_MOVES = ((-2, -1), (-2, 1), (-1, -2), (-1, 2), (1, -2), (1, 2), (2, -1), 
 
 
 def deck_match_odds(deck_size: int) -> Odds:
-    """Odds against two freshly shuffled identical decks matching exactly."""
+    """Odds against two freshly shuffled identical decks matching exactly; at most FACTORIAL_LIMIT cards."""
     if deck_size < 1:
         raise ValueError("deck must have at least one card")
     check_index(deck_size, "size")
+    check_ceiling(deck_size, FACTORIAL_LIMIT, "size")
     return Odds(math.factorial(deck_size) - 1, 1)
 
 

@@ -150,6 +150,9 @@ EDGE_INVOCATIONS = [
     ["conic", "focal-product", "--a", "1e-160", "--b", "1e-160", "--theta", "0.5"],
     # a tolerance past every float: every count is in the band at n = 1
     ["binom", "sample-size", "--p", "1/3", "--c", "1e400", "--alpha", "1/3"],
+    # scans of 1501 and 2520 n
+    ["binom", "sample-size", "--p", "1/2", "--c", "1/40", "--alpha", "1/20"],
+    ["binom", "sample-size", "--p", "2/5", "--c", "1/40", "--alpha", "1/100"],
     # a closed form whose solved coefficient of 1.5^n should be 0: every term is 2
     ["recur", "eval", "--coeffs", "2.5,-1.5", "--init", "2,2", "--n", "100"],
     ["recur", "sum", "--coeffs", "2.5,-1.5", "--init", "2,2", "--upto", "100"],
@@ -179,6 +182,10 @@ EDGE_INVOCATIONS = [
     ["conic", "inverse-square", "--a", "2", "--b", "1", "--samples", HUGE],
     ["duration", "exact", "--b", "4", "--p", "0.5", "--n", HUGE],
     ["binom", "simulate", "--n", "100", "--c", "1", "--reps", "10000000000000000000000", "--seed", "1"],
+    # work past a ceiling, refused before it starts
+    ["num", "factorial", "--n", "100000000000"],
+    ["games", "deck-odds", "--size", "100000000000"],
+    ["binom", "simulate", "--n", "100", "--c", "1", "--reps", "9223372036854775807", "--seed", "1"],
     ["duration", "exact", "--b", "4611686018427387904", "--p", "0.5", "--n", "4"],
     ["annuity", "value", "--law", HUGE, "--age", "0", "--rate", "0.05"],
     ["annuity", "joint", "--law", HUGE, "--age-a", "0", "--age-b", "3", "--rate", "0.05"],

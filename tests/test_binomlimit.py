@@ -452,8 +452,10 @@ def test_sample_size_halving_c_increases_n():
 
 
 def test_sample_size_pinned_at_c_one_fortieth():
-    # the per-term band sum that the kernel replaced returns the same n
+    # the per-term band sum that the kernel replaced, and the per-n band sum
+    # that the recurrence in n replaced, return the same n
     assert sample_size(HALF, Fraction(1, 40), Fraction(1, 20)) == 1501
+    assert sample_size(Fraction(2, 5), Fraction(1, 40), Fraction(1, 100)) == 2520
 
 
 def test_sample_size_crossing_property():
@@ -490,6 +492,40 @@ def test_sample_size_matches_fraction_scan(case):
     assert n == fraction_scan(p, c, alpha, limit=400)
     if c >= max(p, 1 - p):
         assert n == 1
+
+
+@st.composite
+def recurrence_cases(draw):
+    """Cases for each path of the recurrence in n, with p = k/d and d up to 30; n stays below 600."""
+    d = draw(st.integers(2, 30))
+    k = draw(st.integers(1, d - 1))
+    alpha = Fraction(draw(st.integers(1, 30)), 60)
+    path = draw(st.sampled_from(["lo stays 0", "hi = n", "empty and refilled", "central"]))
+    if path == "lo stays 0":  # p - c <= 0
+        p = Fraction(min(k, d - k), d)
+        return p, p + Fraction(draw(st.integers(0, 4)), 40), alpha
+    if path == "hi = n":  # p + c >= 1; below n = 1/(2q) the band is the single count n, so lo passes the old hi
+        p = Fraction(max(k, d - k), d)
+        return p, 1 - p + Fraction(draw(st.integers(0, 4)), 40), alpha
+    p = Fraction(k, d)
+    if path == "empty and refilled":
+        # a band narrower than one count empties and refills; at n0 = m d it holds the count
+        # n0 p, and 1 - alpha at most that count's mass stops the scan by n0
+        n0 = d * draw(st.integers(1, 4))
+        mass = termwise_band_mass(n0, p, n0 * k // d, n0 * k // d)
+        return p, Fraction(1, draw(st.integers(200, 1000))), 1 - mass * Fraction(draw(st.integers(1, 4)), 4)
+    return p, Fraction(1, draw(st.integers(3, 12))), alpha
+
+
+@settings(max_examples=150, deadline=None)
+@given(recurrence_cases())
+@example((Fraction(1, 30), Fraction(1, 30), Fraction(1, 60)))  # lo stays 0 from n = 1
+@example((Fraction(1, 7), Fraction(1, 50), Fraction(9, 10)))  # empty for n = 1..6
+@example((Fraction(29, 30), Fraction(1, 30), Fraction(1, 60)))  # [n - 1, n - 1] at n - 1 to [n, n] at n
+@example((Fraction(1, 2), Fraction(1, 20), Fraction(1, 20)))  # n = 371, the benchmark's case
+def test_sample_size_recurrence_matches_fraction_scan(case):
+    p, c, alpha = case
+    assert sample_size(p, c, alpha) == fraction_scan(p, c, alpha, limit=600)
 
 
 def test_sample_size_counts_a_band_holding_exactly_one_minus_alpha():

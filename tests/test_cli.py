@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -380,6 +381,21 @@ def test_integer_past_the_double_or_index_range_exits_3_naming_it(argv, name):
     assert f" got {name} of " in err and err.startswith(f"error: {name} must "), err
     for raw in ("int too large", "index-sized", "C long", "factorial()", "ellipse a ="):
         assert raw not in err, err
+
+
+@pytest.mark.parametrize("argv, name, ceiling", [
+    (["num", "factorial", "--n", "100000000000"], "n", "100000"),
+    (["num", "factorial", "--n", "100001"], "n", "100000"),
+    (["games", "deck-odds", "--size", "100000000000"], "size", "100000"),
+    (["binom", "simulate", "--n", "100", "--c", "1", "--reps", "9223372036854775807", "--seed", "1"], "reps", "10000000"),
+    (["binom", "simulate", "--n", "100", "--c", "1", "--reps", "10000001", "--seed", "1"], "reps", "10000000"),
+])
+def test_work_past_its_ceiling_exits_3_before_it_starts(argv, name, ceiling):
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, ""), err
+    assert err == f"error: {name} must be at most the work ceiling {ceiling}, got {name} = {argv[argv.index('--' + name) + 1]}\n"
 
 
 def test_simulate_negative_seed_exits_3():

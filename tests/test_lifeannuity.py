@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -36,33 +35,40 @@ class DuckModel:
         return 10
 
 
-def forward_annuity_oracle(model, x, rate):
-    """The forward Fraction loop annuity_value ran before its integer kernel."""
+def survivor_run(model, x):
+    """l_x, l_{x+1}, ... down to the last survivor, read once from the model's own fields."""
     survival_probability(model, x, 0)  # age validation
-    v = rate.v
-    total = Fraction(0)
-    power = Fraction(1)
-    for t in itertools.count(1):
-        s = survival_probability(model, x, t)
-        if s == 0:
-            return float(total)
-        power *= v
-        total += power * s
+    if isinstance(model, LifeTable):
+        return model.survivors[x - model.start_age:]
+    return range(model.omega - x, 0, -1)
+
+
+def forward_sum(later, rate):
+    """sum over t >= 1 of v^t later[t - 1], forward in t, reduced once.
+
+    With v = P/Q the sum is taken over the one denominator Q^T (T the last
+    t) by Horner's rule in Q.  A Fraction sum reduces at every year, and
+    with a subnormal rate's 2^1074 in v that gcd took nearly all the time.
+    """
+    p, q = rate.v.numerator, rate.v.denominator
+    total, power = 0, 1
+    for survivors in later:
+        power *= p
+        total = total * q + power * survivors
+    return Fraction(total) / q ** len(later)
+
+
+def forward_annuity_oracle(model, x, rate):
+    """Oracle: sum over t >= 1 of v^t l_{x+t} / l_x, forward in t, where the kernel walks backwards."""
+    run = survivor_run(model, x)
+    return float(forward_sum(run[1:], rate) / Fraction(run[0]))
 
 
 def forward_joint_oracle(model_a, x, model_b, y, rate):
-    """The forward Fraction loop joint_annuity_value ran before its integer kernel."""
-    survival_probability(model_a, x, 0)
-    survival_probability(model_b, y, 0)
-    v = rate.v
-    total = Fraction(0)
-    power = Fraction(1)
-    for t in itertools.count(1):
-        s = survival_probability(model_a, x, t) * survival_probability(model_b, y, t)
-        if s == 0:
-            return float(total)
-        power *= v
-        total += power * s
+    """Oracle: the joint sum forward in t, where the kernel walks backwards; the shorter run ends the product."""
+    run_a, run_b = survivor_run(model_a, x), survivor_run(model_b, y)
+    later = [Fraction(a) * b for a, b in zip(run_a[1:], run_b[1:])]
+    return float(forward_sum(later, rate) / (Fraction(run_a[0]) * run_b[0]))
 
 
 FRACTIONAL_CSV = "age,lx\n30,100\n31,197/2\n32,96.25\n33,280/3\n34,90\n35,85.5\n36,80\n37,299/4\n38,70\n39,1/3\n"
