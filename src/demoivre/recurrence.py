@@ -25,10 +25,16 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .exactnum import check_double, check_finite, check_index
+from .exactnum import check_ceiling, check_double, check_finite, check_index
 
 RESIDUE_TOLERANCE = 1e-12
 UNDERFLOW_STAKES = 1086  # the least even b whose closed form underflows at p = 1/2
+# A game of the duration walk costs ~1-2.5 us plus ~1-2.5 ns per state, and
+# up to ~25-30 ns per state while the masses are subnormal, on a 2-CPU Xeon
+# VM.  So a game counts as its 2h + 1 buffered states plus WALK_GAME_STATES,
+# all at the subnormal rate: walks at the ceiling took 6-9 s.
+WALK_GAME_STATES = 80
+WALK_LIMIT = 3 * 10**8
 
 
 class DegenerateSpectrumError(ValueError):
@@ -219,49 +225,61 @@ class DurationSpec:
             raise ValueError("number of games must be non-negative")
 
 
+def _walk_games_limit(b: int) -> int:
+    """The most games duration_exceeds_exact plays at stakes b within WALK_LIMIT.
+
+    n games over a window of h = min(b, n + 1) states each way cost
+    n * (2h + 1 + WALK_GAME_STATES) state steps.  Where the cap keeps the
+    full 2b - 1 states it is WALK_LIMIT // (2b + 1 + WALK_GAME_STATES);
+    past that the window is n + 1, and n * (2n + 3 + WALK_GAME_STATES)
+    <= WALK_LIMIT is solved for n.
+    """
+    games = WALK_LIMIT // (2 * b + 1 + WALK_GAME_STATES)
+    if games + 1 >= b:
+        return games
+    c = 3 + WALK_GAME_STATES
+    return (math.isqrt(c * c + 8 * WALK_LIMIT) - c) // 4
+
+
 def duration_exceeds_exact(spec: DurationSpec) -> float:
     """P(no ruin within n games): iterate the mass over interior states.
 
     Random walk from 0 with absorbing barriers at +-b; interior states are
-    the 2b-1 positions strictly between the barriers.  Mass from the start
-    state b-1 only ever sits on positions of one parity, and the parity
-    flips each game, so only that class is kept: the b even positions
-    0, 2, ..., 2b-2 or the b-1 odd positions 1, 3, ..., 2b-3.  Each game
-    maps neighbours a, c of the live class to p*a + q*c; the odd class is
-    first walled with a 0.0 at each end.  A loop over all 2b-1 states (the
-    tests' oracle) forms (0.0 + p*a) + q*c in the same order, where a zero
-    term only adds +0.0, so every value is the same double.  The sum is
-    clamped to at most 1, which rounding can pass (1.0000000000000056 at
-    b = 100, p = 0.45, n = 100).
+    the 2b-1 positions strictly between the barriers.  A float64 buffer v
+    holds them between two walls of 0.0, and each game is three numpy
+    ufuncs over preallocated buffers of one shape: p*v[j-1], q*v[j+1] and
+    their sum, written back into the interior.  (One multiply of [[p], [q]]
+    into a two-row buffer is one call fewer, but numpy's broadcasting path
+    made a game 10-25 % dearer at b = 50.)  A loop over all 2b-1 states
+    (the tests' oracle) forms (0.0 + p*a) + q*c in the same order, where a
+    zero term only adds +0.0, so every value is the same double.  The sum
+    is clamped to at most 1, which rounding can pass (1.0000000000000056
+    at b = 100, p = 0.45, n = 100).
 
-    An odd start state (even b) first takes one walled game into the even
-    class.  Then games go two to a list pass, even -> odd -> even: each odd
-    entry e is carried to the next element as its left neighbour, and p*e is
-    p*e + q*0.0 at the right wall (e >= +0.0).  An odd remainder is one game.
-    A b whose list of states the interpreter refuses to allocate is a
-    ValueError naming b.
+    n games reach only the n states on each side of the start, so the
+    buffer keeps h = min(b, n + 1) positions each way: where n + 1 < b its
+    walls stand at distance n + 1 and hold 0.0, as the unreachable states
+    there do.  The walk is refused before any buffer is allocated, naming n and the
+    most games that fit, when its work n * (2h + 1 + WALK_GAME_STATES)
+    passes WALK_LIMIT; that also caps h, and so the buffers, at about
+    sqrt(WALK_LIMIT / 2) states each way.
     """
     check_index(spec.b, "b")
     check_index(spec.n, "n")
-    p, q = spec.p, 1.0 - spec.p
-    odd = spec.b % 2 == 0  # the start state b-1 is odd when b is even
-    try:
-        live = [0.0] * (spec.b - odd)
-    except MemoryError:
-        states = spec.b - odd
-        raise ValueError(f"b must leave room for a list of its {states} states, got b of {spec.b.bit_length()} bits") from None
-    live[(spec.b - 1) // 2] = 1.0
-    games = spec.n
-    if odd and games:
-        live, games = [p * a + q * c for a, c in zip([0.0, *live], [*live, 0.0])], games - 1
-    pairs, single = divmod(games, 2)
-    for _ in range(pairs):
-        e = 0.0
-        live = [p * e + q * (e := p * a + q * c) for a, c in zip(live, live[1:])]
-        live.append(p * e)
-    if single:
-        live = [p * a + q * c for a, c in zip(live, live[1:])]
-    return min(math.fsum(live), 1.0)
+    check_ceiling(spec.n, _walk_games_limit(spec.b), "n")
+    import numpy as np
+
+    half = min(spec.b, spec.n + 1)
+    v = np.zeros(2 * half + 1)
+    v[half] = 1.0
+    inner, below, above = v[1:-1], v[:-2], v[2:]
+    p, q = (np.broadcast_to(x, 2 * half - 1) for x in (spec.p, 1.0 - spec.p))
+    left, right = np.empty(2 * half - 1), np.empty(2 * half - 1)
+    for _ in range(spec.n):
+        np.multiply(p, below, left)
+        np.multiply(q, above, right)
+        np.add(left, right, inner)
+    return min(math.fsum(v.tolist()), 1.0)
 
 
 def duration_weights(b: int, p: float):

@@ -186,9 +186,11 @@ EDGE_INVOCATIONS = [
     ["num", "factorial", "--n", "100000000000"],
     ["games", "deck-odds", "--size", "100000000000"],
     ["binom", "simulate", "--n", "100", "--c", "1", "--reps", "9223372036854775807", "--seed", "1"],
-    ["duration", "exact", "--b", "4611686018427387904", "--p", "0.5", "--n", "4"],
+    ["duration", "exact", "--b", "4", "--p", "0.5", "--n", "9223372036854775807"],
     ["annuity", "value", "--law", HUGE, "--age", "0", "--rate", "0.05"],
     ["annuity", "joint", "--law", HUGE, "--age-a", "0", "--age-b", "3", "--rate", "0.05"],
+    # stakes far past what n games reach: the walk keeps only the reachable states
+    ["duration", "exact", "--b", "4611686018427387904", "--p", "0.5", "--n", "4"],
     # usage errors and help
     [],
     ["nonsense"],

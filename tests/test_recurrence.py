@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 from demoivre import cli
 from demoivre.recurrence import (
     UNDERFLOW_STAKES,
+    WALK_GAME_STATES,
+    WALK_LIMIT,
     ClosedForm,
     DegenerateSpectrumError,
     DurationSpec,
     Recurrence,
     _power_tolerance,
+    _walk_games_limit,
     demoivre_power,
     duration_exceeds_closed,
     duration_exceeds_exact,
@@ -358,10 +361,24 @@ def test_duration_exact_monotone_and_symmetric():
 def test_duration_walk_refuses_sizes_it_cannot_list_or_loop_by_name():
     with pytest.raises(ValueError, match="^n must be at most sys.maxsize"):
         duration_exceeds_exact(DurationSpec(4, 0.5, 10**400))
-    # b = 2^62 and 2^60 + 1: a list of 2^62 - 1 or 2^60 doubles is refused before anything is allocated
+    # the ceiling names the most games that fit at b, before any buffer is allocated
+    for b, games in ((4, 3370786), (2**62, 12226)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^n must be at most the work ceiling {games}, got n = {sys.maxsize}$"):
+            duration_exceeds_exact(DurationSpec(b, 0.5, sys.maxsize))
+        assert time.perf_counter() - start < 1.0
+    # 4 games reach 4 states each way, so stakes of 2^62 or 2^60 + 1 walk as b = 5 does
     for b in (2**62, 2**60 + 1):
-        with pytest.raises(ValueError, match=rf"^b must leave room for a list of its {b - (b % 2 == 0)} states"):
-            duration_exceeds_exact(DurationSpec(b, 0.5, 4))
+        assert duration_exceeds_exact(DurationSpec(b, 0.5, 4)).hex() == loop_walk_oracle(DurationSpec(5, 0.5, 4)).hex()
+
+
+def test_walk_games_limit_is_the_most_games_within_the_ceiling():
+    def work(b, n):  # n games over min(b, n + 1) states each way, walls and floor included
+        return n * (2 * min(b, n + 1) + 1 + WALK_GAME_STATES)
+
+    for b in [*range(1, 40), 12000, 12227, 12228, 12300, 10**6, 2**62]:
+        games = _walk_games_limit(b)
+        assert work(b, games) <= WALK_LIMIT < work(b, games + 1), b
 
 
 def test_duration_closed_refuses_a_huge_even_b_at_once():
@@ -466,6 +483,9 @@ walk_p = st.one_of(
 @example(50, 0.49, 500)
 @example(50, 0.51, 3001)  # odd n from the odd class (b even)
 @example(7, 0.3, 13)  # odd n from the even class (b odd)
+@example(200, 0.45, 1000)  # long vectors: the kernel's real work
+@example(401, 0.5, 801)
+@example(120, 0.3, 50)  # n games reach fewer states than the barriers hold
 def test_parity_walk_is_bit_identical_to_the_loop(b, p, n):
     spec = DurationSpec(b, p, n)
     assert duration_exceeds_exact(spec).hex() == loop_walk_oracle(spec).hex()
