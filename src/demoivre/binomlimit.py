@@ -3,12 +3,12 @@
 Central-band masses P(|X - np| <= c*sqrt(n)/2) are summed exactly in
 rational arithmetic up to n = 4096 (2^n denominators stay affordable
 there) and above as floats: an lgamma-anchored term, ratio walks out
-from it, and one math.fsum.  One kernel, `_band_sum`, takes every exact
+from it, and one math.fsum.  One kernel, `_band_mass`, takes every exact
 band sum at one n: an integer recurrence steps each binomial coefficient
 from the last and accumulates the terms by Horner's rule, so a band takes
 one binomial coefficient and two big powers in all, not a coefficient and
-two powers per term.  It returns d^n times the mass of p = a/d as an
-integer, which the central band divides by d^n once.  The sample-size
+two powers per term.  It sums d^n times the mass of p = a/d as an
+integer and divides it by d^n once.  The sample-size
 scan does not take a fresh band per n: it carries d^n times the band's
 mass and the band's two edge terms from n to n + 1 by De Moivre's
 recurrence in n (Pascal's rule), O(1) big-integer steps per n, and
@@ -108,29 +108,26 @@ def exact_central_probability(spec: TrialSpec, c: float):
 
 
 def _band_mass(n: int, p: Fraction, lo: int, hi: int) -> Fraction:
-    """Exact binomial mass of the counts lo..hi: _band_sum over d^n for p = a/d."""
-    a, d = p.numerator, p.denominator
-    return Fraction(_band_sum(n, a, d - a, lo, hi), d**n)
-
-
-def _band_sum(n: int, a: int, q: int, lo: int, hi: int) -> int:
-    """d^n times the binomial mass of the counts lo..hi, unreduced, for p = a/d and q = d - a.
+    """Exact binomial mass of the counts lo..hi: d^n times it summed in integers, for p = a/d and q = d - a.
 
     The one exact band sum: a^lo q^(n-hi) sum_k C(n, k) a^(k-lo) q^(hi-k),
     taken by Horner's rule in q while u = C(n, k) a^(k-lo) steps by the
-    exact ratio (n-k) a / (k+1).  Every step multiplies a big integer by a
-    small one; the big powers are taken once, outside the loop.  The first
-    coefficient C(n, lo) comes from exactnum.binomial_coefficient, which
-    builds a large one from prime powers.  An empty band (lo > hi) sums to 0.
+    exact ratio (n-k) a / (k+1), then divided by d^n once.  Every step
+    multiplies a big integer by a small one; the big powers are taken once,
+    outside the loop.  The first coefficient C(n, lo) comes from
+    exactnum.binomial_coefficient, which builds a large one from prime
+    powers.  An empty band (lo > hi) has mass 0.
     """
     if lo > hi:
-        return 0
+        return Fraction(0)
+    a, d = p.numerator, p.denominator
+    q = d - a
     u = binomial_coefficient(n, lo)
     total = u
     for k in range(lo, hi):
         u = u * (n - k) // (k + 1) * a
         total = total * q + u
-    return total * a**lo * q ** (n - hi)
+    return Fraction(total * a**lo * q ** (n - hi), d**n)
 
 
 def _band_probability_float(n, p, lo, hi):
@@ -329,7 +326,7 @@ def sample_size(p, c, alpha) -> int:
     Each edge term steps by an exact integer ratio, N_{n+1}(k) =
     N_n(k) (n+1) q / (n+1-k), and N_n(k -+ 1) comes from N_n(k) alike; a
     rising edge adds or drops one term.  So each n costs O(1) big-integer
-    steps, where a fresh band (_band_sum) costs a binomial coefficient,
+    steps, where a fresh band (_band_mass) costs a binomial coefficient,
     two big powers and a walk over the band.  With 1 - alpha = tn/td the
     band holds 1 - alpha when M td >= tn d^n.
     """

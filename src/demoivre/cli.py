@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 from . import binomlimit, conics, exactnum, games, lifeannuity, recurrence, series
 from .exactnum import Odds
 
-TAIL_NOTE = "; survivor tail past age 86 extrapolated"
+TAIL_NOTE = "; survivor tail past age {} extrapolated"  # the table's last observed age
 
 
 class DomainFailure(Exception):
@@ -182,7 +182,7 @@ def _noted(value, *models):
     """value, noted when a model's survivor tail is extrapolated."""
     for model in models:
         if isinstance(model, lifeannuity.LifeTable) and model.extrapolated_from is not None:
-            return Noted(value, TAIL_NOTE)
+            return Noted(value, TAIL_NOTE.format(model.extrapolated_from))
     return Noted(value, "")
 
 
@@ -223,7 +223,8 @@ def _unity(args):
 
 
 def _verdict(args):
-    verdict = games.validate_tour(games.tour_from_text(args.squares))
+    squares = [games.algebraic_to_square(field) for field in list_fields(args.squares, "--squares")]
+    verdict = games.validate_tour(squares)
     if verdict.valid:
         return {"valid": True}
     return {"valid": False, "index": verdict.index, "reason": verdict.reason}

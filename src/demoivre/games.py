@@ -156,7 +156,3 @@ def algebraic_to_square(text: str):
 
 def tour_to_text(tour: Tour) -> str:
     return ",".join(square_to_algebraic(sq) for sq in tour.squares)
-
-
-def tour_from_text(text: str):
-    return [algebraic_to_square(part) for part in text.split(",") if part.strip()]

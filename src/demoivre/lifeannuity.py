@@ -12,7 +12,7 @@ age asked for, so memory stays linear in the run's length.  Each price is
 one correctly rounded integer division, the same float as the exact
 rational sum, so prices are deterministic to the last bit for a given
 table, age and rate; a price past the double range is an OverflowError
-naming its age.
+naming its age, and a walk past ANNUITY_WORK_LIMIT is refused before it starts.
 
 The built-in Breslau-style table, reconstruct_maty_table(), starts from
 646 survivors at age 12 and follows the narrative death schedule (6 a
@@ -29,9 +29,10 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 
-from .exactnum import check_finite, check_index
+from .exactnum import check_finite
 
 # (age span, deaths per year) runs of the narrative schedule, from age 12
 NARRATIVE_DEATHS = (
@@ -49,6 +50,10 @@ CLOSING_DEATHS = (9, 8, 7, 6, 3, 2, 2, 2)  # ages 78..85
 TAIL_START = 86
 TAIL_DEATHS = 2  # per year until nobody is left (age 96)
 
+# The work ceiling of one annuity walk (_present_values), n^2 m (ceil(m/30) + 1)
+# for n years at m-bit discount terms: ~2.5-3.5 s at the ceiling on a 2-CPU Xeon VM.
+ANNUITY_WORK_LIMIT = 10**11
+
 
 class MortalityDomainError(ValueError):
     """Age or horizon outside the mortality model's domain."""
@@ -59,8 +64,9 @@ class LifeTable:
     """Survivor counts l_x for consecutive integer ages.
 
     Entries must be positive and non-increasing; survival past the last
-    tabulated age is zero.  extrapolated_from marks the first age whose
-    entries were filled in rather than observed (None when all are data).
+    tabulated age is zero.  extrapolated_from is the last observed age when
+    the entries past it were filled in rather than observed (None when all
+    are data).
     """
 
     start_age: int
@@ -169,21 +175,10 @@ def load_table(path) -> LifeTable:
     return LifeTable(ages[0], tuple(survivors))
 
 
-def _check_age(model, x: int):
-    """Raise unless model is a LifeTable or a DeMoivreLaw with survivors at age x."""
-    if isinstance(model, LifeTable) and model.lookup(x) is None:
-        raise MortalityDomainError(f"age {x} outside table range {model.start_age}..{model.terminal_age}")
-    if isinstance(model, DeMoivreLaw) and x >= model.omega:
-        raise MortalityDomainError(f"age {x} is at or past the terminal age {model.omega}")
-    if not isinstance(model, (LifeTable, DeMoivreLaw)):
-        raise TypeError(f"unsupported mortality model {type(model).__name__}")
-
-
 def survival_probability(model, x: int, t: int) -> Fraction:
     """P(a life aged x survives t more years): l_{x+t} / l_x from the model's run, 0 past its end."""
     if t < 0:
         raise MortalityDomainError("horizon t must be non-negative")
-    _check_age(model, x)
     run = _survival_run(model, x)
     later = run[t:t + 1]  # empty past the end of the run
     return Fraction(later[0]) / Fraction(run[0]) if later else Fraction(0)
@@ -193,22 +188,21 @@ def _survival_run(model, x: int):
     """l_x, l_{x+1}, ... down to the last survivor, up to a common factor.
 
     Every entry is positive: the table's own counts from age x, or the
-    law's n, n - 1, ..., 1 with n = omega - x.  One run serves every age
-    it covers.
+    law's n, n - 1, ..., 1 (a range) with n = omega - x.  One run serves
+    every age it covers.  An age the model lacks, or another model, is refused.
     """
     if isinstance(model, LifeTable):
+        if model.lookup(x) is None:
+            raise MortalityDomainError(f"age {x} outside table range {model.start_age}..{model.terminal_age}")
         return model.survivors[x - model.start_age:]
-    return range(_run_length(model, x), 0, -1)
+    if isinstance(model, DeMoivreLaw):
+        if x >= model.omega:
+            raise MortalityDomainError(f"age {x} is at or past the terminal age {model.omega}")
+        return range(model.omega - x, 0, -1)
+    raise TypeError(f"unsupported mortality model {type(model).__name__}")
 
 
-def _run_length(model, x: int) -> int:
-    """The number of survivor counts in _survival_run(model, x); only a law's passes sys.maxsize."""
-    if isinstance(model, LifeTable):
-        return model.terminal_age - x + 1
-    return model.omega - x
-
-
-def _present_values(run, v: Fraction, offsets=(0,)):
+def _present_values(run, v: Fraction, ages, offsets=(0,)):
     """Exact curtate annuity prices at the given offsets of a survival run.
 
     run holds l_x, l_{x+1}, ..., l_{x+n} (ints and Fractions, none zero).
@@ -220,10 +214,20 @@ def _present_values(run, v: Fraction, offsets=(0,)):
     division, correctly rounded like float(Fraction), so it gives the same
     bits as the rational sum.  Each pair has O(n) digits and only the pairs
     at offsets are kept, so memory stays linear in n.
+
+    The run is listed only as far as ANNUITY_WORK_LIMIT allows at v's size;
+    a longer one is refused, naming ages (those of its first entry), before
+    any big-integer step.
     """
-    ratios = [l.as_integer_ratio() for l in run]
-    scale = math.lcm(*(den for _, den in ratios))
     p, q = v.as_integer_ratio()
+    bits = max(p.bit_length(), q.bit_length())
+    years = math.isqrt(ANNUITY_WORK_LIMIT // (bits * (-(-bits // 30) + 1)))
+    ratios = [l.as_integer_ratio() for l in islice(run, years + 1)]
+    if len(ratios) > years:
+        named = " and ".join(map(str, ages))
+        raise ValueError(f"annuity price at age {named} needs a walk of more than {years} years, "
+                         f"past the work ceiling {ANNUITY_WORK_LIMIT} at this rate")
+    scale = math.lcm(*(den for _, den in ratios))
     out = dict.fromkeys(offsets)
     r, q_pow = 0, 1
     for k in reversed(range(len(ratios))):
@@ -248,19 +252,14 @@ def _price(entry, *ages: int) -> float:
 
 def annuity_value(model, x: int, rate: RateSpec) -> float:
     """Curtate annuity-immediate price: sum over t >= 1 of v^t * survival(x, t)."""
-    _check_age(model, x)
-    check_index(_run_length(model, x), "OMEGA - age")  # _present_values lists the run
-    return _price(_present_values(_survival_run(model, x), rate.v)[0], x)
+    return _price(_present_values(_survival_run(model, x), rate.v, (x,))[0], x)
 
 
 def joint_annuity_value(model_a, x: int, model_b, y: int, rate: RateSpec) -> float:
     """Joint-life price: pays while both lives survive, independence assumed."""
-    _check_age(model_a, x)
-    _check_age(model_b, y)
     # the product run ends with the shorter of the two lives' runs
-    check_index(min(_run_length(model_a, x), _run_length(model_b, y)), "OMEGA - age")
     both = map(mul, _survival_run(model_a, x), _survival_run(model_b, y))
-    return _price(_present_values(both, rate.v)[0], x, y)
+    return _price(_present_values(both, rate.v, (x, y))[0], x, y)
 
 
 def approximation_error_table(table: LifeTable, ages, rates):
@@ -268,29 +267,29 @@ def approximation_error_table(table: LifeTable, ages, rates):
 
     Entries are 100*(law/table - 1) for each (age, rate); the law keeps
     omega = 86 at every age.  Each rate prices every age with one backward
-    walk per model, from the youngest age asked; cells are then read in
-    row order, each age validated (law first) and divided out in turn, so
-    errors surface as a cell-by-cell pass would raise them.  table must be
-    a LifeTable: its survivor counts are what one walk serves every age from.
+    walk per model, from the youngest age asked or the model's nearest age
+    to it; cells are then read in row order, each age validated (law first)
+    and divided out in turn, so errors surface as a cell-by-cell pass would
+    raise them.  table must be a LifeTable: its survivor counts are what
+    one walk serves every age from.
     """
     if not isinstance(table, LifeTable):
         raise TypeError(f"the error table needs a LifeTable, not {type(table).__name__}")
     law = DeMoivreLaw()
     ages = tuple(ages)
-    law_from = min(ages, default=law.omega)
-    table_from = max(law_from, table.start_age)
-    law_run = _survival_run(law, law_from)
-    table_run = _survival_run(table, table_from)
+    law_from = min((*ages, law.omega - 1))
+    table_from = min(max(law_from, table.start_age), table.terminal_age)
+    law_run, table_run = _survival_run(law, law_from), _survival_run(table, table_from)
     grid = []
     for rate in rates:
         v = RateSpec(rate).v
-        law_prices = _present_values(law_run, v, [age - law_from for age in ages])
-        table_prices = _present_values(table_run, v, [age - table_from for age in ages])
+        law_prices = _present_values(law_run, v, (law_from,), [age - law_from for age in ages])
+        table_prices = _present_values(table_run, v, (table_from,), [age - table_from for age in ages])
         row = []
         for age in ages:
-            _check_age(law, age)
+            _survival_run(law, age)
             approx = _price(law_prices[age - law_from], age)
-            _check_age(table, age)
+            _survival_run(table, age)
             true = _price(table_prices[age - table_from], age)
             if true == 0:
                 raise MortalityDomainError(f"tabular annuity at age {age} is zero")

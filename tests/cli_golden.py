@@ -142,6 +142,9 @@ EDGE_INVOCATIONS = [
     # an empty float band, a malformed tour, and integers printed past 4300 digits
     ["binom", "exact", "--n", "5000", "--c", "1e-9", "--p", "1/3"],
     ["games", "validate", "--squares", "a1,b3"],
+    # every list flag refuses an empty field, --squares too
+    ["games", "validate", "--squares", "a1,,a1"],
+    ["games", "validate", "--squares", CASES.TOUR_A1.replace("b3,", "b3,,", 1)],
     ["series", "raise", "--coeffs=-1e4400", "--power", "1", "--order", "1"],
     ["games", "deck-odds", "--size", "2000"],
     # figures that underflow to 0 or a subnormal
@@ -189,6 +192,11 @@ EDGE_INVOCATIONS = [
     ["duration", "exact", "--b", "4", "--p", "0.5", "--n", "9223372036854775807"],
     ["annuity", "value", "--law", HUGE, "--age", "0", "--rate", "0.05"],
     ["annuity", "joint", "--law", HUGE, "--age-a", "0", "--age-b", "3", "--rate", "0.05"],
+    ["annuity", "value", "--law", "1000000", "--age", "0", "--rate", "0.05"],
+    ["annuity", "value", "--law", "86", "--age", "-1000000", "--rate", "0.05"],
+    ["annuity", "joint", "--law", "86", "--age-a", "-1000000", "--law-b", "86", "--age-b", "-1000000", "--rate", "0.05"],
+    ["annuity", "error-table", "--maty", "--ages", "-1000000", "--rates", "0.05"],
+    ["annuity", "value", "--law", "4000", "--age", "0", "--rate", "5e-324"],
     # stakes far past what n games reach: the walk keeps only the reachable states
     ["duration", "exact", "--b", "4611686018427387904", "--p", "0.5", "--n", "4"],
     # usage errors and help

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import demoivre
-from demoivre import cli
+from demoivre import cli, lifeannuity
 
 from cli_cases import SAMPLE_INVOCATIONS, rebuild_argv
 from cli_golden import HUGE
@@ -287,6 +287,7 @@ def test_limit_at_huge_c_prints_one():
     (["recur", "eval", "--coeffs", "1,1", "--init", "0,1,", "--n", "3"], "--init"),
     (["annuity", "error-table", "--maty", "--ages", "20,,50", "--rates", "0.05"], "--ages"),
     (["annuity", "error-table", "--maty", "--ages", "20,50", "--rates", "0.05,"], "--rates"),
+    (["games", "validate", "--squares", "a1,,a1"], "--squares"),
 ])
 def test_empty_list_field_exits_3_naming_the_list(argv, flag):
     code, out, err = run(argv)
@@ -370,8 +371,6 @@ def test_large_binomial_leaves_numpy_unloaded():
     (["binom", "simulate", "--n", "100", "--c", "1", "--reps", "10000000000000000000000", "--seed", "1"], "reps"),
     # one past sys.maxsize
     (["duration", "exact", "--b", "9223372036854775808", "--p", "0.5", "--n", "4"], "b"),
-    (["annuity", "value", "--law", HUGE, "--age", "0", "--rate", "0.05"], "OMEGA - age"),
-    (["annuity", "joint", "--law", HUGE, "--age-a", "0", "--age-b", "3", "--rate", "0.05"], "OMEGA - age"),
 ])
 def test_integer_past_the_double_or_index_range_exits_3_naming_it(argv, name):
     code, out, err = run(argv)
@@ -390,13 +389,26 @@ def test_integer_past_the_double_or_index_range_exits_3_naming_it(argv, name):
     # the most games that fit at b = 4
     (["duration", "exact", "--b", "4", "--p", "0.5", "--n", "9223372036854775807"], "n", "3370786"),
     (["duration", "exact", "--b", "4", "--p", "0.5", "--n", "3370787"], "n", "3370786"),
+    # an annuity walk names the ages it prices and the most years its rate allows
+    (["annuity", "value", "--law", "1000000", "--age", "0", "--rate", "0.05"], "0", "24182"),
+    (["annuity", "value", "--law", "86", "--age", "-1000000", "--rate", "0.05"], "-1000000", "24182"),
+    (["annuity", "joint", "--law", "86", "--age-a", "-1000000", "--law-b", "86", "--age-b", "-1000000",
+      "--rate", "0.05"], "-1000000 and -1000000", "24182"),
+    (["annuity", "error-table", "--maty", "--ages", "-1000000", "--rates", "0.05"], "-1000000", "24182"),
+    (["annuity", "value", "--law", "4000", "--age", "0", "--rate", "5e-324"], "0", "1585"),
+    (["annuity", "value", "--law", HUGE, "--age", "0", "--rate", "0.05"], "0", "24182"),
+    (["annuity", "joint", "--law", HUGE, "--age-a", "0", "--age-b", "3", "--rate", "0.05"], "0 and 3", "24182"),
 ])
 def test_work_past_its_ceiling_exits_3_before_it_starts(argv, name, ceiling):
     start = time.perf_counter()
     code, out, err = run(argv)
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, ""), err
-    assert err == f"error: {name} must be at most the work ceiling {ceiling}, got {name} = {argv[argv.index('--' + name) + 1]}\n"
+    if argv[0] == "annuity":
+        assert err == (f"error: annuity price at age {name} needs a walk of more than {ceiling} years, "
+                       f"past the work ceiling {lifeannuity.ANNUITY_WORK_LIMIT} at this rate\n")
+    else:
+        assert err == f"error: {name} must be at most the work ceiling {ceiling}, got {name} = {argv[argv.index('--' + name) + 1]}\n"
 
 
 def test_simulate_negative_seed_exits_3():

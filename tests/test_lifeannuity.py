@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from demoivre import lifeannuity
 from demoivre.lifeannuity import (
+    ANNUITY_WORK_LIMIT,
     DeMoivreLaw,
     LifeTable,
     MortalityDomainError,
@@ -230,15 +232,50 @@ def test_law_survival_values():
 
 
 def test_a_law_run_past_every_list_size_is_refused_before_pricing():
+    # at 5 % the walk's ceiling allows 24182 years; the run is listed no further
     huge, rate = DeMoivreLaw(10**400), RateSpec(0.05)
-    for price in (lambda: annuity_value(huge, 0, rate), lambda: joint_annuity_value(huge, 0, huge, 3, rate),
-                  lambda: annuity_value(DeMoivreLaw(86), -(10**400), rate)):
-        with pytest.raises(ValueError, match="^OMEGA - age must be at most sys.maxsize"):
+    for price, named in ((lambda: annuity_value(huge, 0, rate), "0"),
+                         (lambda: joint_annuity_value(huge, 0, huge, 3, rate), "0 and 3"),
+                         (lambda: annuity_value(DeMoivreLaw(86), -(10**400), rate), f"-{10**400}")):
+        with pytest.raises(ValueError, match=f"^annuity price at age {named} needs a walk of more than 24182 years, "
+                                             f"past the work ceiling {ANNUITY_WORK_LIMIT} at this rate$"):
             price()
     # a joint run ends with the shorter life's, here the table's
     table = reconstruct_maty_table()
     joint = joint_annuity_value(huge, 0, table, 30, rate)
     assert math.isclose(joint, annuity_value(table, 30, rate), rel_tol=1e-15)
+
+
+# v = 1/(1 + 0.05) is P/Q with 57-bit P and Q, two 30-bit digits each: a walk
+# of n years counts n^2 * 57 * 3, so this ceiling allows 40 years and no more
+FORTY_YEARS = 40**2 * 57 * 3
+
+
+@pytest.mark.parametrize("limit, years", [(FORTY_YEARS, 40), (FORTY_YEARS + 170, 40), (FORTY_YEARS - 1, 39)])
+def test_a_walk_at_the_work_ceiling_prices_and_one_year_past_it_is_refused(monkeypatch, limit, years):
+    rate, table = RateSpec(0.05), reconstruct_maty_table()
+    law_table = LifeTable(12, tuple(86 - x for x in range(12, 86)))  # the law's own counts
+    expected = {age: annuity_value(DeMoivreLaw(86), age, rate) for age in range(12, 86)}
+    joint = joint_annuity_value(DeMoivreLaw(86), 86 - years, table, 12, rate)
+    grid = approximation_error_table(law_table, [60, 86 - years], [0.05])
+    monkeypatch.setattr(lifeannuity, "ANNUITY_WORK_LIMIT", limit)
+    refused = f" needs a walk of more than {years} years, past the work ceiling {limit} at this rate$"
+    at, past = 86 - years, 85 - years
+    # single life: the law's run at age x has 86 - x years
+    assert annuity_value(DeMoivreLaw(86), at, rate) == expected[at]
+    with pytest.raises(ValueError, match=f"^annuity price at age {past}{refused}"):
+        annuity_value(DeMoivreLaw(86), past, rate)
+    # joint life: the Maty table's 84 years at 12 outlast the law's
+    assert joint_annuity_value(DeMoivreLaw(86), at, table, 12, rate) == joint
+    with pytest.raises(ValueError, match=f"^annuity price at age {past} and 12{refused}"):
+        joint_annuity_value(DeMoivreLaw(86), past, table, 12, rate)
+    # error table: each model's walk starts at the youngest age asked
+    assert approximation_error_table(law_table, [60, at], [0.05]) == grid
+    with pytest.raises(ValueError, match=f"^annuity price at age {past}{refused}"):
+        approximation_error_table(law_table, [60, past], [0.05])
+    # ... and the table's walk is bounded alike
+    with pytest.raises(ValueError, match=f"^annuity price at age {at}{refused}"):
+        approximation_error_table(LifeTable(0, (1,) * 200), [at], [0.05])
 
 
 def test_table_survival_values():
