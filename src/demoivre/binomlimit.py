@@ -38,6 +38,8 @@ _SIM_CHUNK = 4096
 # A rep costs ~30-60 ns, and up to ~250 ns where numpy draws by inversion
 # (n p just under 30), on a 2-CPU Xeon VM: 10^7 reps take at most ~2.5 s.
 SIM_REPS_LIMIT = 10**7
+# A term of the float band costs ~150-190 ns: 2 * 10^7 terms take ~3-4 s.
+FLOAT_BAND_LIMIT = 2 * 10**7
 
 # The kernel's mass past |t| = 67/16 is erfc(67/16 * sqrt(2)) < 2^-54, half
 # an ulp of 1 from below, so the band integral stops there: the integral
@@ -97,13 +99,15 @@ def exact_central_probability(spec: TrialSpec, c: float):
 
     Returns an exact Fraction for n <= 4096 (p is used exactly, a float p
     as the decimal TrialSpec makes of it); above, an lgamma-anchored float
-    sum capped at 1, within about eps n ln n of the mass, relatively.
+    sum capped at 1, within about eps n ln n of the mass, relatively, of
+    at most FLOAT_BAND_LIMIT terms.
     """
     lo, hi = band_bounds(spec, c)
     if spec.n <= RATIONAL_LIMIT:
         return _band_mass(spec.n, spec.p, lo, hi)
     if lo > hi:
         return 0.0
+    check_ceiling(hi - lo + 1, FLOAT_BAND_LIMIT, "band width")
     return _band_probability_float(spec.n, float(spec.p), lo, hi)
 
 
@@ -382,7 +386,6 @@ def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int) -> float:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     check_index(spec.n, "n")
-    check_index(reps, "reps")
     check_ceiling(reps, SIM_REPS_LIMIT, "reps")
     import numpy as np
 

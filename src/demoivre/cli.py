@@ -23,10 +23,6 @@ from .exactnum import Odds
 TAIL_NOTE = "; survivor tail past age {} extrapolated"  # the table's last observed age
 
 
-class DomainFailure(Exception):
-    """Wraps library domain errors for exit-code 3 handling."""
-
-
 def _decimal_str(n: int) -> str:
     """str(n), also past Python's limit on the digits of an int-to-str conversion.
 
@@ -82,18 +78,18 @@ def list_fields(text: str, flag: str, kind=str) -> list:
     """
     fields = [field.strip() for field in text.split(",")]
     if not all(fields):
-        raise DomainFailure(f"{flag} has an empty field: {text!r}")
+        raise ValueError(f"{flag} has an empty field: {text!r}")
     values = []
     for field in fields:
         try:
             values.append(kind(field))
         except (ValueError, ZeroDivisionError):
-            raise DomainFailure(f"{flag} has a field that is not a valid {kind.__name__}: {field!r}") from None
+            raise ValueError(f"{flag} has a field that is not a valid {kind.__name__}: {field!r}") from None
     return values
 
 
 def parse_odds(text: str):
-    """Odds from 'favor:against', or the DomainFailure that a malformed pair is.
+    """Odds from 'favor:against', or the ValueError that a malformed pair is.
 
     argparse reports an exception raised here as a usage error (exit 2) and
     stops parsing, so the failure is returned and raised by the call instead:
@@ -103,11 +99,11 @@ def parse_odds(text: str):
         favor, against = text.split(":")
         return Odds(int(favor), int(against))
     except (ValueError, TypeError) as exc:
-        return DomainFailure(f"bad odds {text!r}: {exc}")
+        return ValueError(f"bad odds {text!r}: {exc}")
 
 
 def _parsed(value):
-    if isinstance(value, DomainFailure):
+    if isinstance(value, ValueError):
         raise value
     return value
 
@@ -125,7 +121,7 @@ def _coefficients(ps, real):
         try:
             values.append(float(value))
         except OverflowError:
-            raise DomainFailure(f"result: coefficient of x^{degree} lies past the double range") from None
+            raise ValueError(f"result: coefficient of x^{degree} lies past the double range") from None
     return values
 
 
@@ -153,7 +149,7 @@ def _ellipse(args):
 def _model(args, suffix=""):
     maty, law, table = (getattr(args, flag + suffix) for flag in ("maty", "law", "table"))
     if maty + (law is not None) + (table is not None) != 1:
-        raise DomainFailure("choose exactly one of --maty / --law OMEGA / --table FILE" + (" (-b variant)" if suffix else ""))
+        raise ValueError("choose exactly one of --maty / --law OMEGA / --table FILE" + (" (-b variant)" if suffix else ""))
     if maty:
         return lifeannuity.reconstruct_maty_table()
     if law is not None:
@@ -161,13 +157,13 @@ def _model(args, suffix=""):
     try:
         return lifeannuity.load_table(table)
     except OSError as exc:
-        raise DomainFailure(f"cannot read table {table!r}: {exc}") from None
+        raise ValueError(f"cannot read table {table!r}: {exc}") from None
 
 
 def _life_table(args, message):
     model = _model(args)
     if not isinstance(model, lifeannuity.LifeTable):
-        raise DomainFailure(message)
+        raise ValueError(message)
     return model
 
 
@@ -444,7 +440,7 @@ def dispatch(argv):
         return (0 if code == 0 else 2), "", ""
     try:
         result, inputs, suffix = REGISTRY[args.op][1](args)
-    except (DomainFailure, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return 3, "", f"error: {exc}\n"
     record = CommandResult(args.op, inputs, result, PROVENANCE[args.op] + suffix)
     return 0, record.render(args.format) + "\n", ""

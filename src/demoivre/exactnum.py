@@ -28,10 +28,7 @@ def check_double(n: int, name: str) -> None:
 
 
 def check_index(n: int, name: str) -> None:
-    """Refuse, naming the parameter, an int n past sys.maxsize.
-
-    That is the bound of a list's length, of math.factorial and of numpy's int64.
-    """
+    """Refuse, naming the parameter, an int n past sys.maxsize: numpy's int64 cannot take it."""
     if n > sys.maxsize:
         raise ValueError(f"{name} must be at most sys.maxsize = {sys.maxsize}, got {name} of {n.bit_length()} bits")
 
@@ -40,10 +37,12 @@ def check_ceiling(n: int, ceiling: int, name: str) -> None:
     """Refuse, naming the parameter and the ceiling, an int n past a call's work ceiling.
 
     Each ceiling bounds a call's predicted work and is checked before the
-    work starts; the README states them.
+    work starts; the README states them.  An n past sys.maxsize is named by
+    its bits, so any int is refused in a message of bounded size.
     """
     if n > ceiling:
-        raise ValueError(f"{name} must be at most the work ceiling {ceiling}, got {name} = {n}")
+        got = f"= {n}" if n <= sys.maxsize else f"of {n.bit_length()} bits"
+        raise ValueError(f"{name} must be at most the work ceiling {ceiling}, got {name} {got}")
 
 
 def check_finite(x, name: str) -> None:
@@ -68,7 +67,6 @@ def factorial(n: int) -> int:
     """Exact n! for 0 <= n <= FACTORIAL_LIMIT."""
     if n < 0:
         raise ValueError("factorial requires n >= 0")
-    check_index(n, "n")
     check_ceiling(n, FACTORIAL_LIMIT, "n")
     return math.factorial(n)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactnum import FACTORIAL_LIMIT, Odds, check_ceiling, check_index
+from .exactnum import FACTORIAL_LIMIT, Odds, check_ceiling
 
 BOARD = 8
 SQUARES = BOARD * BOARD
@@ -22,7 +22,6 @@ def deck_match_odds(deck_size: int) -> Odds:
     """Odds against two freshly shuffled identical decks matching exactly; at most FACTORIAL_LIMIT cards."""
     if deck_size < 1:
         raise ValueError("deck must have at least one card")
-    check_index(deck_size, "size")
     check_ceiling(deck_size, FACTORIAL_LIMIT, "size")
     return Odds(math.factorial(deck_size) - 1, 1)
 
@@ -104,12 +103,12 @@ def find_tour(start) -> Tour:
     and the depth-first search keeps, for each square of the path, the keys
     of its untried candidates sorted in reverse, taking the next from the end.
     """
-    start = (int(start[0]), int(start[1]))
-    if start not in _CELLS:
+    start = tuple(start)
+    if start not in _CELLS:  # checked as given, as Tour checks: (0.5, 0.5) and ("0", "0") are no cells
         raise ValueError(f"square {start} is off the board")
     degree = [len(targets) for targets in _NEIGHBOURS]
     visited = [False] * SQUARES
-    square = start[0] * BOARD + start[1]
+    square = int(start[0]) * BOARD + int(start[1])
     path = [square]
     moves = []  # moves[i]: keys of the untried candidates from path[i], best last
     while True:

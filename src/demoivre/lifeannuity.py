@@ -29,8 +29,6 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from operator import mul
 
 from .exactnum import check_finite
 
@@ -50,8 +48,9 @@ CLOSING_DEATHS = (9, 8, 7, 6, 3, 2, 2, 2)  # ages 78..85
 TAIL_START = 86
 TAIL_DEATHS = 2  # per year until nobody is left (age 96)
 
-# The work ceiling of one annuity walk (_present_values), n^2 m (ceil(m/30) + 1)
-# for n years at m-bit discount terms: ~2.5-3.5 s at the ceiling on a 2-CPU Xeon VM.
+# The work ceiling of one annuity walk (_present_values), n^2 m (ceil(m/30) + ceil(e/64))
+# for n years at m-bit discount terms and e-bit entries: ~2.5-3.5 s at the ceiling
+# on a 2-CPU Xeon VM.  Entries up to 64 bits cost alike; 1329-bit ones cost 7.8x.
 ANNUITY_WORK_LIMIT = 10**11
 
 
@@ -202,10 +201,12 @@ def _survival_run(model, x: int):
     raise TypeError(f"unsupported mortality model {type(model).__name__}")
 
 
-def _present_values(run, v: Fraction, ages, offsets=(0,)):
+def _present_values(runs, v: Fraction, ages, offsets=(0,)):
     """Exact curtate annuity prices at the given offsets of a survival run.
 
-    run holds l_x, l_{x+1}, ..., l_{x+n} (ints and Fractions, none zero).
+    runs holds one survival run, or the two whose entrywise product is the
+    joint run (it ends with the shorter): l_x, l_{x+1}, ..., l_{x+n} (ints
+    and Fractions, none zero).
     The result maps each offset k to a pair of ints (R, D) with
     R / D = sum over t >= 1 of v^t * l_{x+k+t} / l_{x+k}.  One lcm clears
     the run's denominators and v = P/Q, so the walk runs backwards in
@@ -215,18 +216,21 @@ def _present_values(run, v: Fraction, ages, offsets=(0,)):
     bits as the rational sum.  Each pair has O(n) digits and only the pairs
     at offsets are kept, so memory stays linear in n.
 
-    The run is listed only as far as ANNUITY_WORK_LIMIT allows at v's size;
-    a longer one is refused, naming ages (those of its first entry), before
-    any big-integer step.
+    A run longer than ANNUITY_WORK_LIMIT allows at the sizes of v and of
+    the run's first entry (an int run never grows, so that entry bounds the
+    bits of every later one) is refused, naming ages (those of its first
+    entry), before any entry is listed.
     """
     p, q = v.as_integer_ratio()
     bits = max(p.bit_length(), q.bit_length())
-    years = math.isqrt(ANNUITY_WORK_LIMIT // (bits * (-(-bits // 30) + 1)))
-    ratios = [l.as_integer_ratio() for l in islice(run, years + 1)]
-    if len(ratios) > years:
+    first = math.prod(run[0] for run in runs)
+    entry = max(map(int.bit_length, first.as_integer_ratio()))
+    years = math.isqrt(ANNUITY_WORK_LIMIT // (bits * (-(-bits // 30) - (-entry // 64))))
+    if all(run[years:years + 1] for run in runs):  # the product run is as long as the shortest
         named = " and ".join(map(str, ages))
         raise ValueError(f"annuity price at age {named} needs a walk of more than {years} years, "
                          f"past the work ceiling {ANNUITY_WORK_LIMIT} at this rate")
+    ratios = [math.prod(entries).as_integer_ratio() for entries in zip(*runs)]
     scale = math.lcm(*(den for _, den in ratios))
     out = dict.fromkeys(offsets)
     r, q_pow = 0, 1
@@ -252,13 +256,12 @@ def _price(entry, *ages: int) -> float:
 
 def annuity_value(model, x: int, rate: RateSpec) -> float:
     """Curtate annuity-immediate price: sum over t >= 1 of v^t * survival(x, t)."""
-    return _price(_present_values(_survival_run(model, x), rate.v, (x,))[0], x)
+    return _price(_present_values((_survival_run(model, x),), rate.v, (x,))[0], x)
 
 
 def joint_annuity_value(model_a, x: int, model_b, y: int, rate: RateSpec) -> float:
     """Joint-life price: pays while both lives survive, independence assumed."""
-    # the product run ends with the shorter of the two lives' runs
-    both = map(mul, _survival_run(model_a, x), _survival_run(model_b, y))
+    both = (_survival_run(model_a, x), _survival_run(model_b, y))
     return _price(_present_values(both, rate.v, (x, y))[0], x, y)
 
 
@@ -283,8 +286,8 @@ def approximation_error_table(table: LifeTable, ages, rates):
     grid = []
     for rate in rates:
         v = RateSpec(rate).v
-        law_prices = _present_values(law_run, v, (law_from,), [age - law_from for age in ages])
-        table_prices = _present_values(table_run, v, (table_from,), [age - table_from for age in ages])
+        law_prices = _present_values((law_run,), v, (law_from,), [age - law_from for age in ages])
+        table_prices = _present_values((table_run,), v, (table_from,), [age - table_from for age in ages])
         row = []
         for age in ages:
             _survival_run(law, age)

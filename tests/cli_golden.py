@@ -178,7 +178,6 @@ EDGE_INVOCATIONS = [
     ["binom", "simulate", "--n", "10000000000000000000", "--c", "1", "--reps", "10", "--seed", "1"],
     ["duration", "closed", "--b", "4", "--p", "0.5", "--n", HUGE],
     ["duration", "closed", "--b", HUGE, "--p", "0.5", "--n", "4"],
-    ["duration", "exact", "--b", "4000000000000000000000", "--p", "0.5", "--n", "4"],
     ["factor", "unity", "--n", HUGE, "--sign", "1"],
     ["num", "factorial", "--n", HUGE],
     ["games", "deck-odds", "--size", HUGE],
@@ -197,8 +196,13 @@ EDGE_INVOCATIONS = [
     ["annuity", "joint", "--law", "86", "--age-a", "-1000000", "--law-b", "86", "--age-b", "-1000000", "--rate", "0.05"],
     ["annuity", "error-table", "--maty", "--ages", "-1000000", "--rates", "0.05"],
     ["annuity", "value", "--law", "4000", "--age", "0", "--rate", "5e-324"],
+    ["annuity", "joint", "--law", HUGE, "--age-a", "0", "--age-b", "3", "--rate", "0"],
+    ["conic", "inverse-square", "--a", "2", "--b", "1", "--samples", "100000000000"],
+    ["factor", "unity", "--n", "100000000000", "--sign", "1"],
+    ["binom", "exact", "--n", "1000000000000000000000000", "--c", "1"],
     # stakes far past what n games reach: the walk keeps only the reachable states
     ["duration", "exact", "--b", "4611686018427387904", "--p", "0.5", "--n", "4"],
+    ["duration", "exact", "--b", "4000000000000000000000", "--p", "0.5", "--n", "4"],
     # usage errors and help
     [],
     ["nonsense"],

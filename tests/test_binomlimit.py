@@ -12,6 +12,7 @@ from demoivre import binomlimit
 from demoivre.binomlimit import (
     _QUAD_LIMIT,
     GAUSS_CUTOFF,
+    SIM_REPS_LIMIT,
     TrialSpec,
     _band_mass,
     _gauss_kernel,
@@ -182,6 +183,19 @@ def test_float_band_stays_at_most_one():
     # above 1, the anchor's error, well inside the float band's stated bound
     for c in (1000, 1e308):
         assert exact_central_probability(TrialSpec(5000, HALF), c) == 1.0
+
+
+def test_float_band_width_stops_at_its_work_ceiling(monkeypatch):
+    # counted once band_bounds has run and before any term is summed
+    spec = TrialSpec(10_000, HALF)
+    lo, hi = band_bounds(spec, 1.0)
+    expected = exact_central_probability(spec, 1.0)
+    monkeypatch.setattr(binomlimit, "FLOAT_BAND_LIMIT", hi - lo + 1)
+    assert exact_central_probability(spec, 1.0) == expected
+    monkeypatch.setattr(binomlimit, "FLOAT_BAND_LIMIT", hi - lo)
+    with pytest.raises(ValueError, match=f"^band width must be at most the work ceiling {hi - lo}, got band width = {hi - lo + 1}$"):
+        exact_central_probability(spec, 1.0)
+    assert exact_central_probability(TrialSpec(10_000, Fraction(1, 3)), 1e-9) == 0.0  # an empty band sums no term
 
 
 def test_large_band_near_limit():
@@ -594,7 +608,7 @@ def test_simulate_band_chunk_plan_keeps_its_bits(n, reps, seed, p, bits):
 
 
 def test_simulate_band_refuses_reps_past_sys_maxsize_by_name():
-    with pytest.raises(ValueError, match="^reps must be at most sys.maxsize"):
+    with pytest.raises(ValueError, match=f"^reps must be at most the work ceiling {SIM_REPS_LIMIT}, got reps of 74 bits$"):
         simulate_band(TrialSpec(100, HALF), 1.0, 10**22, seed=1)
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import demoivre
-from demoivre import cli, lifeannuity
+from demoivre import binomlimit, cli, lifeannuity
 
 from cli_cases import SAMPLE_INVOCATIONS, rebuild_argv
 from cli_golden import HUGE
@@ -362,15 +362,14 @@ def test_large_binomial_leaves_numpy_unloaded():
     (["binom", "simulate", "--n", "10000000000000000000", "--c", "1", "--reps", "10", "--seed", "1"], "n"),
     (["duration", "closed", "--b", "4", "--p", "0.5", "--n", HUGE], "n"),
     (["duration", "closed", "--b", HUGE, "--p", "0.5", "--n", "4"], "b"),
-    (["duration", "exact", "--b", "4000000000000000000000", "--p", "0.5", "--n", "4"], "b"),
+    # one past sys.maxsize, the most numpy's int64 takes
+    (["binom", "simulate", "--n", "9223372036854775808", "--c", "1", "--reps", "10", "--seed", "1"], "n"),
     (["factor", "unity", "--n", HUGE, "--sign", "1"], "n"),
     (["num", "factorial", "--n", HUGE], "n"),
     (["games", "deck-odds", "--size", HUGE], "size"),
     (["conic", "inverse-square", "--a", "2", "--b", "1", "--samples", HUGE], "samples"),
     (["duration", "exact", "--b", "4", "--p", "0.5", "--n", HUGE], "n"),
     (["binom", "simulate", "--n", "100", "--c", "1", "--reps", "10000000000000000000000", "--seed", "1"], "reps"),
-    # one past sys.maxsize
-    (["duration", "exact", "--b", "9223372036854775808", "--p", "0.5", "--n", "4"], "b"),
 ])
 def test_integer_past_the_double_or_index_range_exits_3_naming_it(argv, name):
     code, out, err = run(argv)
@@ -378,6 +377,25 @@ def test_integer_past_the_double_or_index_range_exits_3_naming_it(argv, name):
     assert f" got {name} of " in err and err.startswith(f"error: {name} must "), err
     for raw in ("int too large", "index-sized", "C long", "factorial()", "ellipse a ="):
         assert raw not in err, err
+
+
+@pytest.mark.parametrize("b", ["4000000000000000000000", "9223372036854775808"])
+def test_duration_exact_stakes_past_what_n_games_reach_walk_as_b_n_plus_one(b):
+    # 4 games reach 4 states each way: any larger b walks as b = 5, past sys.maxsize too
+    walked = run_json(["duration", "exact", "--b", b, "--p", "0.5", "--n", "4"])
+    assert walked["inputs"]["b"] == b
+    assert walked["result"] == run_json(["duration", "exact", "--b", "5", "--p", "0.5", "--n", "4"])["result"]
+
+
+def _refused(argv, name):
+    """How a work-ceiling refusal names its value: the flag's, or binom exact's float band width."""
+    if name == "band width":
+        flag = dict(zip(argv[2::2], argv[3::2]))
+        lo, hi = binomlimit.band_bounds(binomlimit.TrialSpec(int(flag["--n"])), float(flag["--c"]))
+        value = hi - lo + 1
+    else:
+        value = int(argv[argv.index("--" + name) + 1])
+    return f"{name} = {value}" if value <= sys.maxsize else f"{name} of {value.bit_length()} bits"
 
 
 @pytest.mark.parametrize("argv, name, ceiling", [
@@ -396,8 +414,24 @@ def test_integer_past_the_double_or_index_range_exits_3_naming_it(argv, name):
       "--rate", "0.05"], "-1000000 and -1000000", "24182"),
     (["annuity", "error-table", "--maty", "--ages", "-1000000", "--rates", "0.05"], "-1000000", "24182"),
     (["annuity", "value", "--law", "4000", "--age", "0", "--rate", "5e-324"], "0", "1585"),
-    (["annuity", "value", "--law", HUGE, "--age", "0", "--rate", "0.05"], "0", "24182"),
-    (["annuity", "joint", "--law", HUGE, "--age-a", "0", "--age-b", "3", "--rate", "0.05"], "0 and 3", "24182"),
+    # a law's 1329-bit entries, and the joint run's 2658-bit ones, count past the first 64 bits
+    (["annuity", "value", "--law", HUGE, "--age", "0", "--rate", "0.05"], "0", "8733"),
+    (["annuity", "joint", "--law", HUGE, "--age-a", "0", "--age-b", "3", "--rate", "0.05"], "0 and 3", "6314"),
+    # refused before any entry is listed
+    (["annuity", "joint", "--law", HUGE, "--age-a", "0", "--age-b", "3", "--rate", "0"], "0 and 3", "48224"),
+    # a value past sys.maxsize is named by its bits
+    (["num", "factorial", "--n", HUGE], "n", "100000"),
+    (["games", "deck-odds", "--size", HUGE], "size", "100000"),
+    (["binom", "simulate", "--n", "100", "--c", "1", "--reps", "10000000000000000000000", "--seed", "1"], "reps", "10000000"),
+    (["duration", "exact", "--b", "4", "--p", "0.5", "--n", HUGE], "n", "3370786"),
+    # leaves that the double range alone guarded ran on past any budget
+    (["conic", "inverse-square", "--a", "2", "--b", "1", "--samples", "100000000000"], "samples", "4000000"),
+    (["conic", "inverse-square", "--a", "2", "--b", "1", "--samples", "4000001"], "samples", "4000000"),
+    (["conic", "inverse-square", "--a", "2", "--b", "1", "--samples", HUGE], "samples", "4000000"),
+    (["factor", "unity", "--n", "100000000000", "--sign", "1"], "n", "5000000"),
+    (["factor", "unity", "--n", "5000001", "--sign", "-1"], "n", "5000000"),
+    (["binom", "exact", "--n", "1000000000000000000000000", "--c", "1"], "band width", "20000000"),
+    (["binom", "exact", "--n", "400000000000000", "--c", "1"], "band width", "20000000"),
 ])
 def test_work_past_its_ceiling_exits_3_before_it_starts(argv, name, ceiling):
     start = time.perf_counter()
@@ -408,7 +442,7 @@ def test_work_past_its_ceiling_exits_3_before_it_starts(argv, name, ceiling):
         assert err == (f"error: annuity price at age {name} needs a walk of more than {ceiling} years, "
                        f"past the work ceiling {lifeannuity.ANNUITY_WORK_LIMIT} at this rate\n")
     else:
-        assert err == f"error: {name} must be at most the work ceiling {ceiling}, got {name} = {argv[argv.index('--' + name) + 1]}\n"
+        assert err == f"error: {name} must be at most the work ceiling {ceiling}, got {_refused(argv, name)}\n"
 
 
 def test_simulate_negative_seed_exits_3():

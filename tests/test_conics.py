@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from demoivre import conics
 from demoivre.conics import (
     Ellipse,
     centripetal_force,
@@ -148,6 +149,17 @@ def test_ellipse_validation():
         Ellipse(1.0, 0.0)
     with pytest.raises(ValueError):
         inverse_square_constant(Ellipse(2.0, 1.0), 2)
+
+
+def test_inverse_square_samples_stop_at_their_work_ceiling(monkeypatch):
+    e = Ellipse(2.0, 1.0)
+    expected = inverse_square_constant(e, 10)
+    monkeypatch.setattr(conics, "SAMPLES_LIMIT", 10)
+    assert inverse_square_constant(e, 10) == expected
+    with pytest.raises(ValueError, match="^samples must be at most the work ceiling 10, got samples = 11$"):
+        inverse_square_constant(e, 11)
+    with pytest.raises(ValueError, match="^samples must be at most the work ceiling 10, got samples of 1329 bits$"):
+        inverse_square_constant(e, 10**400)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -10,6 +10,7 @@ from demoivre.exactnum import (
     _by_primes,
     _primes_upto,
     binomial_coefficient,
+    check_ceiling,
     exact_input,
     factorial,
     odds_from_probability,
@@ -33,6 +34,18 @@ def test_exact_input_takes_a_float_as_the_decimal_it_prints_as():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=rf"^alpha must be finite, got {bad!r}$"):
             exact_input(bad, "alpha")
+
+
+def test_check_ceiling_names_a_value_past_sys_maxsize_by_its_bits():
+    check_ceiling(10, 10, "n")
+    with pytest.raises(ValueError, match="^n must be at most the work ceiling 10, got n = 11$"):
+        check_ceiling(11, 10, "n")
+    with pytest.raises(ValueError, match="^n must be at most the work ceiling 10, got n = 9223372036854775807$"):
+        check_ceiling(9223372036854775807, 10, "n")
+    with pytest.raises(ValueError, match="^n must be at most the work ceiling 10, got n of 64 bits$"):
+        check_ceiling(9223372036854775808, 10, "n")
+    with pytest.raises(ValueError, match="^n must be at most the work ceiling 10, got n of 16610 bits$"):
+        check_ceiling(10**5000, 10, "n")
 
 
 def test_factorial_examples():

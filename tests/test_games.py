@@ -214,6 +214,15 @@ def test_find_tour_rejects_off_board_start():
         find_tour((8, 0))
 
 
+def test_find_tour_checks_its_start_as_given_as_tour_checks_its_squares():
+    # int() after the check: half a square or a string is no cell, as in Tour
+    for start in ((0.5, 0.5), ("0", "0"), (0, 0.5)):
+        with pytest.raises(ValueError, match=r"^square \(.*\) is off the board$"):
+            find_tour(start)
+    from_floats = find_tour((0.0, 0.0)).squares  # whole floats name the cells
+    assert from_floats == find_tour((0, 0)).squares and all(type(x) is int for x in from_floats[0])
+
+
 def test_tour_type_enforces_invariants():
     with pytest.raises(ValueError):
         Tour(((0, 0), (1, 1)) + tuple((i % 8, i // 8) for i in range(62)))

@@ -232,18 +232,34 @@ def test_law_survival_values():
 
 
 def test_a_law_run_past_every_list_size_is_refused_before_pricing():
-    # at 5 % the walk's ceiling allows 24182 years; the run is listed no further
+    # at 5 % the walk's ceiling allows 24182 years of entries up to 64 bits, 8733 of the
+    # law's 1329-bit entries and 6314 of the joint run's 2658-bit ones; no entry is listed
     huge, rate = DeMoivreLaw(10**400), RateSpec(0.05)
-    for price, named in ((lambda: annuity_value(huge, 0, rate), "0"),
-                         (lambda: joint_annuity_value(huge, 0, huge, 3, rate), "0 and 3"),
-                         (lambda: annuity_value(DeMoivreLaw(86), -(10**400), rate), f"-{10**400}")):
-        with pytest.raises(ValueError, match=f"^annuity price at age {named} needs a walk of more than 24182 years, "
+    for price, named, years in ((lambda: annuity_value(huge, 0, rate), "0", 8733),
+                                (lambda: joint_annuity_value(huge, 0, huge, 3, rate), "0 and 3", 6314),
+                                (lambda: annuity_value(DeMoivreLaw(86), -(10**400), rate), f"-{10**400}", 8733)):
+        with pytest.raises(ValueError, match=f"^annuity price at age {named} needs a walk of more than {years} years, "
                                              f"past the work ceiling {ANNUITY_WORK_LIMIT} at this rate$"):
             price()
     # a joint run ends with the shorter life's, here the table's
     table = reconstruct_maty_table()
     joint = joint_annuity_value(huge, 0, table, 30, rate)
     assert math.isclose(joint, annuity_value(table, 30, rate), rel_tol=1e-15)
+
+
+def test_a_joint_run_of_huge_entries_is_refused_before_any_entry_is_listed():
+    # at rate 0 the ceiling allows 223606 years of small entries, but 48224 of these:
+    # the product 10^400 (10^400 - 3) has 2658 bits, ceil(2658/64) = 42 of the one-digit
+    # multiplies a year counts.  Listing the run first took 0.56 s and 116 MB of RSS.
+    huge = DeMoivreLaw(10**400)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^annuity price at age 0 and 3 needs a walk of more than 48224 years, "):
+            joint_annuity_value(huge, 0, huge, 3, RateSpec(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 # v = 1/(1 + 0.05) is P/Q with 57-bit P and Q, two 30-bit digits each: a walk
@@ -276,6 +292,18 @@ def test_a_walk_at_the_work_ceiling_prices_and_one_year_past_it_is_refused(monke
     # ... and the table's walk is bounded alike
     with pytest.raises(ValueError, match=f"^annuity price at age {at}{refused}"):
         approximation_error_table(LifeTable(0, (1,) * 200), [at], [0.05])
+
+
+def test_entry_bits_past_64_count_in_the_walk_ceiling(monkeypatch):
+    # at 5 % a 64-bit entry costs as a small one does; a 65-bit one counts two one-digit multiplies
+    rate = RateSpec(0.05)
+    wide, wider = (LifeTable(0, (top,) * 41) for top in (2**64 - 1, 2**64))
+    expected = annuity_value(LifeTable(0, (2**64 - 1,) * 40), 0, rate)
+    monkeypatch.setattr(lifeannuity, "ANNUITY_WORK_LIMIT", FORTY_YEARS)
+    assert annuity_value(LifeTable(0, (2**64 - 1,) * 40), 0, rate) == expected
+    for table, years in ((wide, 40), (wider, math.isqrt(FORTY_YEARS // (57 * 4)))):
+        with pytest.raises(ValueError, match=f"^annuity price at age 0 needs a walk of more than {years} years, "):
+            annuity_value(table, 0, rate)
 
 
 def test_table_survival_values():

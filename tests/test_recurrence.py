@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from demoivre import cli
+from demoivre import cli, recurrence
 from demoivre.recurrence import (
     UNDERFLOW_STAKES,
     WALK_GAME_STATES,
@@ -359,7 +359,7 @@ def test_duration_exact_monotone_and_symmetric():
 
 
 def test_duration_walk_refuses_sizes_it_cannot_list_or_loop_by_name():
-    with pytest.raises(ValueError, match="^n must be at most sys.maxsize"):
+    with pytest.raises(ValueError, match="^n must be at most the work ceiling 3370786, got n of 1329 bits$"):
         duration_exceeds_exact(DurationSpec(4, 0.5, 10**400))
     # the ceiling names the most games that fit at b, before any buffer is allocated
     for b, games in ((4, 3370786), (2**62, 12226)):
@@ -367,8 +367,8 @@ def test_duration_walk_refuses_sizes_it_cannot_list_or_loop_by_name():
         with pytest.raises(ValueError, match=rf"^n must be at most the work ceiling {games}, got n = {sys.maxsize}$"):
             duration_exceeds_exact(DurationSpec(b, 0.5, sys.maxsize))
         assert time.perf_counter() - start < 1.0
-    # 4 games reach 4 states each way, so stakes of 2^62 or 2^60 + 1 walk as b = 5 does
-    for b in (2**62, 2**60 + 1):
+    # 4 games reach 4 states each way, so stakes of 2^62, 2^60 + 1 or 2^70 walk as b = 5 does
+    for b in (2**62, 2**60 + 1, 2**70):
         assert duration_exceeds_exact(DurationSpec(b, 0.5, 4)).hex() == loop_walk_oracle(DurationSpec(5, 0.5, 4)).hex()
 
 
@@ -561,6 +561,16 @@ def test_factor_unity_cube_minus_one():
     assert fac.linear_factors == (1.0,)
     assert len(fac.quadratic_factors) == 1
     assert fac.quadratic_factors[0] == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_factor_unity_degree_stops_at_its_work_ceiling(monkeypatch):
+    expected = factor_unity(24, -1)
+    monkeypatch.setattr(recurrence, "UNITY_LIMIT", 24)
+    assert factor_unity(24, -1) == expected
+    with pytest.raises(ValueError, match="^n must be at most the work ceiling 24, got n = 25$"):
+        factor_unity(25, 1)
+    with pytest.raises(ValueError, match="^n must be at most the work ceiling 24, got n of 1329 bits$"):
+        factor_unity(10**400, 1)
 
 
 def test_factor_unity_counts_and_expansion_all_degrees():
