@@ -31,15 +31,11 @@ from fractions import Fraction
 from itertools import accumulate, chain, islice
 from operator import mul
 
-from .exactnum import binomial_coefficient, check_ceiling, check_double, check_finite, check_index, exact_input
+from . import exactnum
+from .exactnum import binomial_coefficient, charge, check_double, check_finite, check_index, exact_input
 
 RATIONAL_LIMIT = 4096
 _SIM_CHUNK = 4096
-# A rep costs ~30-60 ns, and up to ~250 ns where numpy draws by inversion
-# (n p just under 30), on a 2-CPU Xeon VM: 10^7 reps take at most ~2.5 s.
-SIM_REPS_LIMIT = 10**7
-# A term of the float band costs ~150-190 ns: 2 * 10^7 terms take ~3-4 s.
-FLOAT_BAND_LIMIT = 2 * 10**7
 
 # The kernel's mass past |t| = 67/16 is erfc(67/16 * sqrt(2)) < 2^-54, half
 # an ulp of 1 from below, so the band integral stops there: the integral
@@ -99,15 +95,15 @@ def exact_central_probability(spec: TrialSpec, c: float):
 
     Returns an exact Fraction for n <= 4096 (p is used exactly, a float p
     as the decimal TrialSpec makes of it); above, an lgamma-anchored float
-    sum capped at 1, within about eps n ln n of the mass, relatively, of
-    at most FLOAT_BAND_LIMIT terms.
+    sum capped at 1, within about eps n ln n of the mass, relatively, whose
+    terms are charged 15000 each once the band is known.
     """
     lo, hi = band_bounds(spec, c)
     if spec.n <= RATIONAL_LIMIT:
         return _band_mass(spec.n, spec.p, lo, hi)
     if lo > hi:
         return 0.0
-    check_ceiling(hi - lo + 1, FLOAT_BAND_LIMIT, "band width")
+    charge(15000 * (hi - lo + 1), "band width", hi - lo + 1)
     return _band_probability_float(spec.n, float(spec.p), lo, hi)
 
 
@@ -333,6 +329,14 @@ def sample_size(p, c, alpha) -> int:
     steps, where a fresh band (_band_mass) costs a binomial coefficient,
     two big powers and a walk over the band.  With 1 - alpha = tn/td the
     band holds 1 - alpha when M td >= tn d^n.
+
+    Its integers grow by bits(d) a step, so a scan to n costs about
+    60 n^2 bits(d) units.  Past the stretch that costs a hundredth of the
+    budget, the scan is charged that for the n the normal approximation
+    predicts (_charge_scan).  The stretch runs uncharged because the band
+    can hold 1 - alpha far sooner than predicted where alpha is large
+    (p = 1/2, c = 1/1000 and alpha = 1/2 stop at n = 2, where 113,735 is
+    predicted).
     """
     p = exact_input(p, "p")
     c = exact_input(c, "c")
@@ -349,10 +353,13 @@ def sample_size(p, c, alpha) -> int:
     ln, ld = low.numerator, low.denominator
     hn, hd = high.numerator, high.denominator
     tn, td = target.numerator, target.denominator
+    charged_at = math.isqrt(exactnum.WORK_BUDGET // (100 * 60 * d.bit_length())) + 1
     n = lo = hi = 0
     mass = bottom = top = scale = 1  # M, N_n(lo), N_n(hi) and d^n at n = 0
     while True:
         n += 1
+        if n == charged_at:
+            _charge_scan(p, c, alpha)
         below = bottom * lo * q // ((n - lo) * a)  # N_{n-1}(lo - 1), 0 at lo = 0
         mass = d * mass + a * (below - top)  # the band lo..hi of n - 1, at n
         scale *= d
@@ -370,8 +377,27 @@ def sample_size(p, c, alpha) -> int:
             return n
 
 
+def _charge_scan(p: Fraction, c: Fraction, alpha: Fraction) -> None:
+    """Charge sample_size's scan 60 n^2 bits(d), p = a/d, for the n of the normal approximation, pq (z/c)^2.
+
+    z is the normal quantile of 1 - alpha/2: 1537 is predicted where the
+    scan stops at 1501 (p = 1/2, c = 1/40, alpha = 1/20).  Where alpha/2
+    underflows a double, z^2 is bounded by 2 ln(2/alpha), the Gaussian
+    tail bound.
+    """
+    from statistics import NormalDist
+
+    tail = float(alpha / 2)
+    if tail:
+        z2 = NormalDist().inv_cdf(tail) ** 2
+    else:
+        z2 = 2 * (math.log(2 * alpha.denominator) - math.log(alpha.numerator))
+    n = math.ceil(Fraction(z2) * p * (1 - p) / (c * c))
+    charge(60 * n * n * p.denominator.bit_length(), "predicted n", n)
+
+
 def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int) -> float:
-    """Empirical band frequency over seeded replications, at most SIM_REPS_LIMIT of them.
+    """Empirical band frequency over seeded replications, charged 30000 a rep.
 
     Replications are split into 4096-rep chunks; the chunk that starts at
     rep s has index s // 4096 and draws from a PCG64 generator seeded by
@@ -386,7 +412,7 @@ def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int) -> float:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     check_index(spec.n, "n")
-    check_ceiling(reps, SIM_REPS_LIMIT, "reps")
+    charge(30000 * reps, "reps", reps)
     import numpy as np
 
     lo, hi = band_bounds(spec, c)

@@ -8,15 +8,17 @@ lowest terms with a positive denominator on every construction.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, zip_longest
 
-# n! of 100000 has 456,574 digits, which take ~2.4 s to print on a 2-CPU Xeon
-# VM; printing grows as the square of the digits (2 * 10^5: ~11.6 s).
-FACTORIAL_LIMIT = 100_000
+# The work budget of one call, in units of ~10 ps on a 2-CPU Xeon VM: ~3 s.
+# Each call whose work grows with its input predicts its cost in these units
+# and charges it before the work starts; the README tabulates every cost.
+WORK_BUDGET = 3 * 10**11
 
 
 def check_double(n: int, name: str) -> None:
@@ -33,16 +35,16 @@ def check_index(n: int, name: str) -> None:
         raise ValueError(f"{name} must be at most sys.maxsize = {sys.maxsize}, got {name} of {n.bit_length()} bits")
 
 
-def check_ceiling(n: int, ceiling: int, name: str) -> None:
-    """Refuse, naming the parameter and the ceiling, an int n past a call's work ceiling.
+def charge(cost: int, name: str, value: int) -> None:
+    """Refuse, naming the parameter, its value, the cost and the budget, work that costs past WORK_BUDGET.
 
-    Each ceiling bounds a call's predicted work and is checked before the
-    work starts; the README states them.  An n past sys.maxsize is named by
-    its bits, so any int is refused in a message of bounded size.
+    A value or cost past sys.maxsize is named by its bits, so any int is
+    refused in a message of bounded size.
     """
-    if n > ceiling:
-        got = f"= {n}" if n <= sys.maxsize else f"of {n.bit_length()} bits"
-        raise ValueError(f"{name} must be at most the work ceiling {ceiling}, got {name} {got}")
+    if cost > WORK_BUDGET:
+        got = f"= {value}" if value <= sys.maxsize else f"of {value.bit_length()} bits"
+        costs = cost if cost <= sys.maxsize else f"at least 2^{cost.bit_length() - 1}"
+        raise ValueError(f"{name} {got} is past the work budget: it costs {costs} units, the budget is {WORK_BUDGET}")
 
 
 def check_finite(x, name: str) -> None:
@@ -64,10 +66,10 @@ def exact_input(x, name: str) -> Fraction:
 
 
 def factorial(n: int) -> int:
-    """Exact n! for 0 <= n <= FACTORIAL_LIMIT."""
+    """Exact n!, n >= 0, charged 30 n^2: printing grows as the square of its digits."""
     if n < 0:
         raise ValueError("factorial requires n >= 0")
-    check_ceiling(n, FACTORIAL_LIMIT, "n")
+    charge(30 * n * n, "n", n)
     return math.factorial(n)
 
 
@@ -107,7 +109,7 @@ def binomial_coefficient(n: int, k: int) -> int:
         if e:
             factors.append(p**e)
     factors += [p for p in primes[root:half] if n // p - j // p - m // p]
-    return _product(factors)
+    return balanced(operator.mul, factors)
 
 
 def _by_primes(n: int, j: int) -> bool:
@@ -128,12 +130,12 @@ def _primes_upto(n: int) -> list:
     return [2, *compress(range(1, n + 1, 2), sieve)]
 
 
-def _product(factors: list) -> int:
-    """Product of the factors in a balanced tree, so big operands meet big ones."""
-    while len(factors) > 1:
-        pairs = iter(factors)
-        factors = [a * b for a, b in zip_longest(pairs, pairs, fillvalue=1)]
-    return factors[0] if factors else 1
+def balanced(op, items: list) -> int:
+    """op, mul or lcm (both have unit 1), over the items in a balanced tree, so big operands meet big ones."""
+    while len(items) > 1:
+        pairs = iter(items)
+        items = [op(a, b) for a, b in zip_longest(pairs, pairs, fillvalue=1)]
+    return items[0] if items else 1
 
 
 @dataclass(frozen=True)

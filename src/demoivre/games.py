@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactnum import FACTORIAL_LIMIT, Odds, check_ceiling
+from .exactnum import Odds, charge
 
 BOARD = 8
 SQUARES = BOARD * BOARD
@@ -19,10 +19,10 @@ KNIGHT_MOVES = ((-2, -1), (-2, 1), (-1, -2), (-1, 2), (1, -2), (1, 2), (2, -1), 
 
 
 def deck_match_odds(deck_size: int) -> Odds:
-    """Odds against two freshly shuffled identical decks matching exactly; at most FACTORIAL_LIMIT cards."""
+    """Odds against two freshly shuffled identical decks matching exactly, charged as factorial is."""
     if deck_size < 1:
         raise ValueError("deck must have at least one card")
-    check_ceiling(deck_size, FACTORIAL_LIMIT, "size")
+    charge(30 * deck_size * deck_size, "size", deck_size)
     return Odds(math.factorial(deck_size) - 1, 1)
 
 

@@ -12,7 +12,7 @@ age asked for, so memory stays linear in the run's length.  Each price is
 one correctly rounded integer division, the same float as the exact
 rational sum, so prices are deterministic to the last bit for a given
 table, age and rate; a price past the double range is an OverflowError
-naming its age, and a walk past ANNUITY_WORK_LIMIT is refused before it starts.
+naming its age, and a walk past the work budget is refused before it starts.
 
 The built-in Breslau-style table, reconstruct_maty_table(), starts from
 646 survivors at age 12 and follows the narrative death schedule (6 a
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import check_finite
+from .exactnum import balanced, charge, check_finite
 
 # (age span, deaths per year) runs of the narrative schedule, from age 12
 NARRATIVE_DEATHS = (
@@ -47,11 +47,6 @@ NARRATIVE_DEATHS = (
 CLOSING_DEATHS = (9, 8, 7, 6, 3, 2, 2, 2)  # ages 78..85
 TAIL_START = 86
 TAIL_DEATHS = 2  # per year until nobody is left (age 96)
-
-# The work ceiling of one annuity walk (_present_values), n^2 m (ceil(m/30) + ceil(e/64))
-# for n years at m-bit discount terms and e-bit entries: ~2.5-3.5 s at the ceiling
-# on a 2-CPU Xeon VM.  Entries up to 64 bits cost alike; 1329-bit ones cost 7.8x.
-ANNUITY_WORK_LIMIT = 10**11
 
 
 class MortalityDomainError(ValueError):
@@ -216,22 +211,29 @@ def _present_values(runs, v: Fraction, ages, offsets=(0,)):
     bits as the rational sum.  Each pair has O(n) digits and only the pairs
     at offsets are kept, so memory stays linear in n.
 
-    A run longer than ANNUITY_WORK_LIMIT allows at the sizes of v and of
-    the run's first entry (an int run never grows, so that entry bounds the
-    bits of every later one) is refused, naming ages (those of its first
-    entry), before any entry is listed.
+    A walk of N years at m-bit P and Q over e-bit scaled entries is charged
+    3 N^2 m (ceil(m/30) + ceil(e/64)) before it starts, naming ages (those
+    of the run's first entry).  The scaled entries never grow along the
+    run, so the first one's bits e bound every later one's.  A law's run
+    is a range of ints, so its lcm is 1 and it is not listed before the
+    charge; a table's run is a tuple in memory, and its lcm is taken first.
     """
     p, q = v.as_integer_ratio()
-    bits = max(p.bit_length(), q.bit_length())
-    first = math.prod(run[0] for run in runs)
-    entry = max(map(int.bit_length, first.as_integer_ratio()))
-    years = math.isqrt(ANNUITY_WORK_LIMIT // (bits * (-(-bits // 30) - (-entry // 64))))
-    if all(run[years:years + 1] for run in runs):  # the product run is as long as the shortest
-        named = " and ".join(map(str, ages))
-        raise ValueError(f"annuity price at age {named} needs a walk of more than {years} years, "
-                         f"past the work ceiling {ANNUITY_WORK_LIMIT} at this rate")
-    ratios = [math.prod(entries).as_integer_ratio() for entries in zip(*runs)]
-    scale = math.lcm(*(den for _, den in ratios))
+    m = max(p.bit_length(), q.bit_length())
+    if all(isinstance(run, range) for run in runs):
+        ratios, scale = None, 1
+        years = min(-((run.start - run.stop) // run.step) for run in runs)
+        first = math.prod(run[0] for run in runs)
+    else:  # the product run is as long as the shortest, here a tuple's
+        ratios = [math.prod(entries).as_integer_ratio() for entries in zip(*runs)]
+        scale = balanced(math.lcm, list({den for _, den in ratios}))
+        years = len(ratios)
+        first = ratios[0][0] * (scale // ratios[0][1])
+    named = " and ".join(map(str, ages))
+    cost = 3 * years**2 * m * (-(-m // 30) - (-first.bit_length() // 64))
+    charge(cost, f"years (annuity price at age {named})", years)
+    if ratios is None:
+        ratios = [(math.prod(entries), 1) for entries in zip(*runs)]
     out = dict.fromkeys(offsets)
     r, q_pow = 0, 1
     for k in reversed(range(len(ratios))):

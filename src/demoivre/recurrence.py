@@ -25,19 +25,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .exactnum import check_ceiling, check_double, check_finite
+from .exactnum import charge, check_double, check_finite
 
 RESIDUE_TOLERANCE = 1e-12
 UNDERFLOW_STAKES = 1086  # the least even b whose closed form underflows at p = 1/2
-# A game of the duration walk costs ~1-2.5 us plus ~1-2.5 ns per state, and
-# up to ~25-30 ns per state while the masses are subnormal, on a 2-CPU Xeon
-# VM.  So a game counts as its 2h + 1 buffered states plus WALK_GAME_STATES,
-# all at the subnormal rate: walks at the ceiling took 6-9 s.
-WALK_GAME_STATES = 80
-WALK_LIMIT = 3 * 10**8
-# factor_unity costs ~66 ns per degree, and the CLI ~0.44-0.57 us, printing
-# the cosines; at 5 * 10^6 the CLI took 2.9 s and peaked at 359 MB.
-UNITY_LIMIT = 5 * 10**6
 
 
 class DegenerateSpectrumError(ValueError):
@@ -228,22 +219,6 @@ class DurationSpec:
             raise ValueError("number of games must be non-negative")
 
 
-def _walk_games_limit(b: int) -> int:
-    """The most games duration_exceeds_exact plays at stakes b within WALK_LIMIT.
-
-    n games over a window of h = min(b, n + 1) states each way cost
-    n * (2h + 1 + WALK_GAME_STATES) state steps.  Where the cap keeps the
-    full 2b - 1 states it is WALK_LIMIT // (2b + 1 + WALK_GAME_STATES);
-    past that the window is n + 1, and n * (2n + 3 + WALK_GAME_STATES)
-    <= WALK_LIMIT is solved for n.
-    """
-    games = WALK_LIMIT // (2 * b + 1 + WALK_GAME_STATES)
-    if games + 1 >= b:
-        return games
-    c = 3 + WALK_GAME_STATES
-    return (math.isqrt(c * c + 8 * WALK_LIMIT) - c) // 4
-
-
 def duration_exceeds_exact(spec: DurationSpec) -> float:
     """P(no ruin within n games): iterate the mass over interior states.
 
@@ -262,12 +237,14 @@ def duration_exceeds_exact(spec: DurationSpec) -> float:
     n games reach only the n states on each side of the start, so the
     buffer keeps h = min(b, n + 1) positions each way: where n + 1 < b its
     walls stand at distance n + 1 and hold 0.0, as the unreachable states
-    there do.  The walk is refused before any buffer is allocated, naming n and the
-    most games that fit, when its work n * (2h + 1 + WALK_GAME_STATES)
-    passes WALK_LIMIT; that also caps h, and so the buffers, at about
-    sqrt(WALK_LIMIT / 2) states each way.
+    there do.  A game costs ~1-2.5 us plus ~1-2.5 ns a state, and up to
+    ~25-30 ns a state while the masses are subnormal (2-CPU Xeon VM), so
+    the walk is charged 1000 n (2h + 81) before any buffer is allocated:
+    each game counts its 2h + 1 buffered states and 80 more, all at the
+    subnormal rate.  That also caps h, and so the buffers, at 12227 states
+    each way.
     """
-    check_ceiling(spec.n, _walk_games_limit(spec.b), "n")
+    charge(1000 * spec.n * (2 * min(spec.b, spec.n + 1) + 81), "n", spec.n)
     import numpy as np
 
     half = min(spec.b, spec.n + 1)
@@ -374,13 +351,14 @@ def factor_unity(n: int, sign: int) -> UnityFactorization:
     The roots sit on the unit circle at angles m*pi/n, m odd for x^n + 1
     and even for x^n - 1; conjugate pairs (0 < m < n) collapse to
     x^2 - 2x*cos(theta) + 1 and the real roots +-1 (m = 0 or n) stay linear.
-    The degree is at most UNITY_LIMIT.
+    A degree is charged 60000: the CLI takes ~0.44-0.57 us a degree,
+    printing the cosines.
     """
     if n < 1:
         raise ValueError("degree must be positive")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 (x^n + 1) or -1 (x^n - 1)")
-    check_ceiling(n, UNITY_LIMIT, "n")
+    charge(60000 * n, "n", n)
     start = 1 if sign == 1 else 2
     linear = tuple(-1.0 if m else 1.0 for m in (0, n) if m % 2 == start % 2)
     cosines = tuple(math.cos(m * math.pi / n) for m in range(start, n, 2))

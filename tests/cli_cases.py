@@ -1,11 +1,15 @@
-"""Shared CLI invocation samples, taken from the benchmark's grid, and the loader of its modules."""
+"""Shared CLI invocation samples, taken from the benchmark's grid, the loader of its modules, and the work budget's refusal."""
 
 import functools
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
+import pytest
+
 from demoivre import cli
+from demoivre.exactnum import charge
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
@@ -34,3 +38,10 @@ def rebuild_argv(payload):
         else:
             argv.extend([flag, str(value)])
     return argv
+
+
+def refusal(cost, name, value):
+    """A pattern matching exactly the refusal of charge(cost, name, value), which must refuse."""
+    with pytest.raises(ValueError) as refused:
+        charge(cost, name, value)
+    return f"^{re.escape(str(refused.value))}$"

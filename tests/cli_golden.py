@@ -156,6 +156,8 @@ EDGE_INVOCATIONS = [
     # scans of 1501 and 2520 n
     ["binom", "sample-size", "--p", "1/2", "--c", "1/40", "--alpha", "1/20"],
     ["binom", "sample-size", "--p", "2/5", "--c", "1/40", "--alpha", "1/100"],
+    # a large alpha stops the scan at n = 2, far before its predicted n, within the uncharged stretch
+    ["binom", "sample-size", "--p", "1/2", "--c", "1/1000", "--alpha", "1/2"],
     # a closed form whose solved coefficient of 1.5^n should be 0: every term is 2
     ["recur", "eval", "--coeffs", "2.5,-1.5", "--init", "2,2", "--n", "100"],
     ["recur", "sum", "--coeffs", "2.5,-1.5", "--init", "2,2", "--upto", "100"],
@@ -184,7 +186,9 @@ EDGE_INVOCATIONS = [
     ["conic", "inverse-square", "--a", "2", "--b", "1", "--samples", HUGE],
     ["duration", "exact", "--b", "4", "--p", "0.5", "--n", HUGE],
     ["binom", "simulate", "--n", "100", "--c", "1", "--reps", "10000000000000000000000", "--seed", "1"],
-    # work past a ceiling, refused before it starts
+    # work past the budget, refused before it starts
+    ["binom", "sample-size", "--p", "1/2", "--c", "1/400", "--alpha", "1/20"],
+    ["binom", "sample-size", "--p", "1/2", "--c", "1/1000000000", "--alpha", "1/100"],
     ["num", "factorial", "--n", "100000000000"],
     ["games", "deck-odds", "--size", "100000000000"],
     ["binom", "simulate", "--n", "100", "--c", "1", "--reps", "9223372036854775807", "--seed", "1"],

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from demoivre import binomlimit
+from demoivre import binomlimit, exactnum
 from demoivre.binomlimit import (
     _QUAD_LIMIT,
     GAUSS_CUTOFF,
-    SIM_REPS_LIMIT,
     TrialSpec,
     _band_mass,
     _gauss_kernel,
@@ -25,6 +24,8 @@ from demoivre.binomlimit import (
     sample_size,
     simulate_band,
 )
+
+from cli_cases import refusal
 
 HALF = Fraction(1, 2)
 
@@ -186,14 +187,14 @@ def test_float_band_stays_at_most_one():
 
 
 def test_float_band_width_stops_at_its_work_ceiling(monkeypatch):
-    # counted once band_bounds has run and before any term is summed
+    # charged once band_bounds has run and before any term is summed
     spec = TrialSpec(10_000, HALF)
     lo, hi = band_bounds(spec, 1.0)
     expected = exact_central_probability(spec, 1.0)
-    monkeypatch.setattr(binomlimit, "FLOAT_BAND_LIMIT", hi - lo + 1)
+    monkeypatch.setattr(exactnum, "WORK_BUDGET", 15000 * (hi - lo + 1))
     assert exact_central_probability(spec, 1.0) == expected
-    monkeypatch.setattr(binomlimit, "FLOAT_BAND_LIMIT", hi - lo)
-    with pytest.raises(ValueError, match=f"^band width must be at most the work ceiling {hi - lo}, got band width = {hi - lo + 1}$"):
+    monkeypatch.setattr(exactnum, "WORK_BUDGET", 15000 * (hi - lo + 1) - 1)
+    with pytest.raises(ValueError, match=refusal(15000 * (hi - lo + 1), "band width", hi - lo + 1)):
         exact_central_probability(spec, 1.0)
     assert exact_central_probability(TrialSpec(10_000, Fraction(1, 3)), 1e-9) == 0.0  # an empty band sums no term
 
@@ -608,7 +609,7 @@ def test_simulate_band_chunk_plan_keeps_its_bits(n, reps, seed, p, bits):
 
 
 def test_simulate_band_refuses_reps_past_sys_maxsize_by_name():
-    with pytest.raises(ValueError, match=f"^reps must be at most the work ceiling {SIM_REPS_LIMIT}, got reps of 74 bits$"):
+    with pytest.raises(ValueError, match="^reps of 74 bits is past the work budget: "):
         simulate_band(TrialSpec(100, HALF), 1.0, 10**22, seed=1)
 
 

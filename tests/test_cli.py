@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import demoivre
-from demoivre import binomlimit, cli, lifeannuity
+from demoivre import binomlimit, cli
+from demoivre.exactnum import WORK_BUDGET
 
 from cli_cases import SAMPLE_INVOCATIONS, rebuild_argv
 from cli_golden import HUGE
@@ -374,7 +376,9 @@ def test_large_binomial_leaves_numpy_unloaded():
 def test_integer_past_the_double_or_index_range_exits_3_naming_it(argv, name):
     code, out, err = run(argv)
     assert (code, out) == (3, ""), err
-    assert f" got {name} of " in err and err.startswith(f"error: {name} must "), err
+    # a range check names it after its rule, the work budget before it
+    named = f" got {name} of " in err and err.startswith(f"error: {name} must ")
+    assert named or err.startswith(f"error: {name} of "), err
     for raw in ("int too large", "index-sized", "C long", "factorial()", "ellipse a ="):
         assert raw not in err, err
 
@@ -388,14 +392,12 @@ def test_duration_exact_stakes_past_what_n_games_reach_walk_as_b_n_plus_one(b):
 
 
 def _refused(argv, name):
-    """How a work-ceiling refusal names its value: the flag's, or binom exact's float band width."""
+    """The value a refusal names: the flag's, or binom exact's float band width."""
     if name == "band width":
         flag = dict(zip(argv[2::2], argv[3::2]))
         lo, hi = binomlimit.band_bounds(binomlimit.TrialSpec(int(flag["--n"])), float(flag["--c"]))
-        value = hi - lo + 1
-    else:
-        value = int(argv[argv.index("--" + name) + 1])
-    return f"{name} = {value}" if value <= sys.maxsize else f"{name} of {value.bit_length()} bits"
+        return hi - lo + 1
+    return int(argv[argv.index("--" + name) + 1])
 
 
 @pytest.mark.parametrize("argv, name, ceiling", [
@@ -407,7 +409,7 @@ def _refused(argv, name):
     # the most games that fit at b = 4
     (["duration", "exact", "--b", "4", "--p", "0.5", "--n", "9223372036854775807"], "n", "3370786"),
     (["duration", "exact", "--b", "4", "--p", "0.5", "--n", "3370787"], "n", "3370786"),
-    # an annuity walk names the ages it prices and the most years its rate allows
+    # an annuity walk names the ages it prices and its years, past the most its rate allows
     (["annuity", "value", "--law", "1000000", "--age", "0", "--rate", "0.05"], "0", "24182"),
     (["annuity", "value", "--law", "86", "--age", "-1000000", "--rate", "0.05"], "-1000000", "24182"),
     (["annuity", "joint", "--law", "86", "--age-a", "-1000000", "--law-b", "86", "--age-b", "-1000000",
@@ -432,17 +434,24 @@ def _refused(argv, name):
     (["factor", "unity", "--n", "5000001", "--sign", "-1"], "n", "5000000"),
     (["binom", "exact", "--n", "1000000000000000000000000", "--c", "1"], "band width", "20000000"),
     (["binom", "exact", "--n", "400000000000000", "--c", "1"], "band width", "20000000"),
+    # the sample-size scan is charged for the n the normal approximation predicts, 50000 at most for p = 1/2
+    (["binom", "sample-size", "--p", "1/2", "--c", "1/400", "--alpha", "1/20"], "predicted n", "50000"),
+    (["binom", "sample-size", "--p", "1/2", "--c", "1/1000000000", "--alpha", "1/100"], "predicted n", "50000"),
 ])
 def test_work_past_its_ceiling_exits_3_before_it_starts(argv, name, ceiling):
     start = time.perf_counter()
     code, out, err = run(argv)
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, ""), err
-    if argv[0] == "annuity":
-        assert err == (f"error: annuity price at age {name} needs a walk of more than {ceiling} years, "
-                       f"past the work ceiling {lifeannuity.ANNUITY_WORK_LIMIT} at this rate\n")
-    else:
-        assert err == f"error: {name} must be at most the work ceiling {ceiling}, got {_refused(argv, name)}\n"
+    parameter = f"years (annuity price at age {name})" if argv[0] == "annuity" else name
+    refused = re.fullmatch(rf"error: {re.escape(parameter)} (= (\d+)|of (\d+) bits) is past the work budget: "
+                           rf"it costs (\d+|at least 2\^\d+) units, the budget is {WORK_BUDGET}\n", err)
+    assert refused, err
+    value = int(refused[2]) if refused[2] else 2 ** (int(refused[3]) - 1)
+    assert value > int(ceiling)
+    if argv[0] != "annuity" and name != "predicted n":  # the rest name what they derive
+        named = _refused(argv, name)
+        assert refused[1] == (f"= {named}" if named <= sys.maxsize else f"of {named.bit_length()} bits")
 
 
 def test_simulate_negative_seed_exits_3():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from demoivre import conics
+from demoivre import conics, exactnum
 from demoivre.conics import (
     Ellipse,
     centripetal_force,
@@ -11,6 +11,8 @@ from demoivre.conics import (
     inverse_square_constant,
     radius_of_curvature,
 )
+
+from cli_cases import refusal
 
 SQRT3 = math.sqrt(3)
 
@@ -152,14 +154,27 @@ def test_ellipse_validation():
 
 
 def test_inverse_square_samples_stop_at_their_work_ceiling(monkeypatch):
+    # a sample is charged 75000
     e = Ellipse(2.0, 1.0)
     expected = inverse_square_constant(e, 10)
-    monkeypatch.setattr(conics, "SAMPLES_LIMIT", 10)
+    monkeypatch.setattr(exactnum, "WORK_BUDGET", 750_000)
     assert inverse_square_constant(e, 10) == expected
-    with pytest.raises(ValueError, match="^samples must be at most the work ceiling 10, got samples = 11$"):
+    with pytest.raises(ValueError, match=refusal(825_000, "samples", 11)):
         inverse_square_constant(e, 11)
-    with pytest.raises(ValueError, match="^samples must be at most the work ceiling 10, got samples of 1329 bits$"):
+    with pytest.raises(ValueError, match="^samples of 1329 bits is past the work budget: "):
         inverse_square_constant(e, 10**400)
+
+
+def test_inverse_square_streams_its_samples_bit_for_bit():
+    # the deviation from the least and greatest sample is max |v - mean| over a list of them
+    for a, b, samples in ((2.0, 1.0, 90), (3.0, 2.0, 120), (5.0, 4.0, 1000), (1.5, 1.0, 7), (1e3, 1e-3, 333)):
+        e = Ellipse(a, b)
+        values = [force * fm * fm for force, fm in (
+            conics._force(e, e.focal_distance, math.cos(t), math.sin(t))
+            for t in (2 * math.pi * i / samples for i in range(samples)))]
+        mean = math.fsum(values) / samples
+        listed = (mean, max(abs(v - mean) for v in values) / abs(mean))
+        assert [x.hex() for x in inverse_square_constant(e, samples)] == [x.hex() for x in listed]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -10,7 +10,7 @@ from demoivre.exactnum import (
     _by_primes,
     _primes_upto,
     binomial_coefficient,
-    check_ceiling,
+    charge,
     exact_input,
     factorial,
     odds_from_probability,
@@ -36,16 +36,25 @@ def test_exact_input_takes_a_float_as_the_decimal_it_prints_as():
             exact_input(bad, "alpha")
 
 
-def test_check_ceiling_names_a_value_past_sys_maxsize_by_its_bits():
-    check_ceiling(10, 10, "n")
-    with pytest.raises(ValueError, match="^n must be at most the work ceiling 10, got n = 11$"):
-        check_ceiling(11, 10, "n")
-    with pytest.raises(ValueError, match="^n must be at most the work ceiling 10, got n = 9223372036854775807$"):
-        check_ceiling(9223372036854775807, 10, "n")
-    with pytest.raises(ValueError, match="^n must be at most the work ceiling 10, got n of 64 bits$"):
-        check_ceiling(9223372036854775808, 10, "n")
-    with pytest.raises(ValueError, match="^n must be at most the work ceiling 10, got n of 16610 bits$"):
-        check_ceiling(10**5000, 10, "n")
+def test_charge_names_value_and_cost_past_sys_maxsize_by_their_bits(monkeypatch):
+    monkeypatch.setattr(exactnum, "WORK_BUDGET", 10)
+    charge(10, "n", 10**5000)
+    with pytest.raises(ValueError, match="^n = 11 is past the work budget: it costs 11 units, the budget is 10$"):
+        charge(11, "n", 11)
+    with pytest.raises(ValueError, match="^n = 9223372036854775807 is past the work budget: "
+                                         "it costs 9223372036854775807 units, the budget is 10$"):
+        charge(9223372036854775807, "n", 9223372036854775807)
+    with pytest.raises(ValueError, match=r"^n of 64 bits is past the work budget: it costs at least 2\^63 units, the budget is 10$"):
+        charge(9223372036854775808, "n", 9223372036854775808)
+    with pytest.raises(ValueError, match=r"^n of 16610 bits is past the work budget: "
+                                         r"it costs at least 2\^33219 units, the budget is 10$"):
+        charge(10**10000, "n", 10**5000)
+
+
+def test_factorial_is_charged_30_n_squared():
+    assert exactnum.WORK_BUDGET == 30 * 100_000**2
+    with pytest.raises(ValueError, match="^n = 100001 is past the work budget: it costs 300006000030 units, "):
+        factorial(100_001)
 
 
 def test_factorial_examples():

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from demoivre import lifeannuity
+from demoivre import exactnum
+from demoivre.exactnum import WORK_BUDGET
 from demoivre.lifeannuity import (
-    ANNUITY_WORK_LIMIT,
     DeMoivreLaw,
     LifeTable,
     MortalityDomainError,
@@ -20,6 +21,8 @@ from demoivre.lifeannuity import (
     reconstruct_maty_table,
     survival_probability,
 )
+
+from cli_cases import refusal
 
 CHECKPOINTS = {
     12: 646, 25: 568, 29: 540, 34: 500, 42: 428, 49: 358,
@@ -232,14 +235,15 @@ def test_law_survival_values():
 
 
 def test_a_law_run_past_every_list_size_is_refused_before_pricing():
-    # at 5 % the walk's ceiling allows 24182 years of entries up to 64 bits, 8733 of the
-    # law's 1329-bit entries and 6314 of the joint run's 2658-bit ones; no entry is listed
+    # at 5 % (57-bit P and Q) a walk of N years over e-bit entries costs 3 N^2 57 (2 + ceil(e/64)):
+    # the law's entries have 1329 bits, the joint run's 2658; no entry is listed
     huge, rate = DeMoivreLaw(10**400), RateSpec(0.05)
-    for price, named, years in ((lambda: annuity_value(huge, 0, rate), "0", 8733),
-                                (lambda: joint_annuity_value(huge, 0, huge, 3, rate), "0 and 3", 6314),
-                                (lambda: annuity_value(DeMoivreLaw(86), -(10**400), rate), f"-{10**400}", 8733)):
-        with pytest.raises(ValueError, match=f"^annuity price at age {named} needs a walk of more than {years} years, "
-                                             f"past the work ceiling {ANNUITY_WORK_LIMIT} at this rate$"):
+    for price, named, years, bits in ((lambda: annuity_value(huge, 0, rate), "0", 10**400, 1329),
+                                      (lambda: joint_annuity_value(huge, 0, huge, 3, rate), "0 and 3", 10**400 - 3, 2658),
+                                      (lambda: annuity_value(DeMoivreLaw(86), -(10**400), rate), f"-{10**400}",
+                                       10**400 + 86, 1329)):
+        cost = 3 * years**2 * 57 * (2 + -(-bits // 64))
+        with pytest.raises(ValueError, match=refusal(cost, f"years (annuity price at age {named})", years)):
             price()
     # a joint run ends with the shorter life's, here the table's
     table = reconstruct_maty_table()
@@ -248,13 +252,14 @@ def test_a_law_run_past_every_list_size_is_refused_before_pricing():
 
 
 def test_a_joint_run_of_huge_entries_is_refused_before_any_entry_is_listed():
-    # at rate 0 the ceiling allows 223606 years of small entries, but 48224 of these:
+    # at rate 0 the budget allows 223606 years of small entries, but 48224 of these:
     # the product 10^400 (10^400 - 3) has 2658 bits, ceil(2658/64) = 42 of the one-digit
     # multiplies a year counts.  Listing the run first took 0.56 s and 116 MB of RSS.
     huge = DeMoivreLaw(10**400)
+    assert 3 * 48224**2 * 43 <= WORK_BUDGET < 3 * 48225**2 * 43
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="^annuity price at age 0 and 3 needs a walk of more than 48224 years, "):
+        with pytest.raises(ValueError, match=r"^years \(annuity price at age 0 and 3\) of 1329 bits is past the work budget: "):
             joint_annuity_value(huge, 0, huge, 3, RateSpec(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -263,8 +268,14 @@ def test_a_joint_run_of_huge_entries_is_refused_before_any_entry_is_listed():
 
 
 # v = 1/(1 + 0.05) is P/Q with 57-bit P and Q, two 30-bit digits each: a walk
-# of n years counts n^2 * 57 * 3, so this ceiling allows 40 years and no more
+# of n years over entries up to 64 bits costs 3 n^2 * 57 * 3, so a budget of
+# 3 * FORTY_YEARS allows 40 years and no more
 FORTY_YEARS = 40**2 * 57 * 3
+
+
+def walk_refusal(years, named, bits=64):
+    """The refusal of a walk of `years` years at 5 %, entries of `bits` bits, pricing ages `named`."""
+    return refusal(3 * years**2 * 57 * (2 + -(-bits // 64)), f"years (annuity price at age {named})", years)
 
 
 @pytest.mark.parametrize("limit, years", [(FORTY_YEARS, 40), (FORTY_YEARS + 170, 40), (FORTY_YEARS - 1, 39)])
@@ -274,36 +285,48 @@ def test_a_walk_at_the_work_ceiling_prices_and_one_year_past_it_is_refused(monke
     expected = {age: annuity_value(DeMoivreLaw(86), age, rate) for age in range(12, 86)}
     joint = joint_annuity_value(DeMoivreLaw(86), 86 - years, table, 12, rate)
     grid = approximation_error_table(law_table, [60, 86 - years], [0.05])
-    monkeypatch.setattr(lifeannuity, "ANNUITY_WORK_LIMIT", limit)
-    refused = f" needs a walk of more than {years} years, past the work ceiling {limit} at this rate$"
+    monkeypatch.setattr(exactnum, "WORK_BUDGET", 3 * limit)
     at, past = 86 - years, 85 - years
     # single life: the law's run at age x has 86 - x years
     assert annuity_value(DeMoivreLaw(86), at, rate) == expected[at]
-    with pytest.raises(ValueError, match=f"^annuity price at age {past}{refused}"):
+    with pytest.raises(ValueError, match=walk_refusal(years + 1, past)):
         annuity_value(DeMoivreLaw(86), past, rate)
     # joint life: the Maty table's 84 years at 12 outlast the law's
     assert joint_annuity_value(DeMoivreLaw(86), at, table, 12, rate) == joint
-    with pytest.raises(ValueError, match=f"^annuity price at age {past} and 12{refused}"):
+    with pytest.raises(ValueError, match=walk_refusal(years + 1, f"{past} and 12")):
         joint_annuity_value(DeMoivreLaw(86), past, table, 12, rate)
     # error table: each model's walk starts at the youngest age asked
     assert approximation_error_table(law_table, [60, at], [0.05]) == grid
-    with pytest.raises(ValueError, match=f"^annuity price at age {past}{refused}"):
+    with pytest.raises(ValueError, match=walk_refusal(years + 1, past)):
         approximation_error_table(law_table, [60, past], [0.05])
     # ... and the table's walk is bounded alike
-    with pytest.raises(ValueError, match=f"^annuity price at age {at}{refused}"):
+    with pytest.raises(ValueError, match=walk_refusal(200 - at, at)):
         approximation_error_table(LifeTable(0, (1,) * 200), [at], [0.05])
 
 
 def test_entry_bits_past_64_count_in_the_walk_ceiling(monkeypatch):
     # at 5 % a 64-bit entry costs as a small one does; a 65-bit one counts two one-digit multiplies
     rate = RateSpec(0.05)
-    wide, wider = (LifeTable(0, (top,) * 41) for top in (2**64 - 1, 2**64))
     expected = annuity_value(LifeTable(0, (2**64 - 1,) * 40), 0, rate)
-    monkeypatch.setattr(lifeannuity, "ANNUITY_WORK_LIMIT", FORTY_YEARS)
+    monkeypatch.setattr(exactnum, "WORK_BUDGET", 3 * FORTY_YEARS)
     assert annuity_value(LifeTable(0, (2**64 - 1,) * 40), 0, rate) == expected
-    for table, years in ((wide, 40), (wider, math.isqrt(FORTY_YEARS // (57 * 4)))):
-        with pytest.raises(ValueError, match=f"^annuity price at age 0 needs a walk of more than {years} years, "):
-            annuity_value(table, 0, rate)
+    for top, years, bits in ((2**64 - 1, 41, 64), (2**64, 40, 65)):
+        with pytest.raises(ValueError, match=walk_refusal(years, 0, bits)):
+            annuity_value(LifeTable(0, (top,) * years), 0, rate)
+
+
+def test_a_fraction_tables_walk_counts_the_bits_its_lcm_scales_to():
+    # 1, 1/2, ..., 1/n is walked scaled by lcm(1..n), whose bits the first entry, 1, does not show:
+    # n = 8000 took 10.5 s at 5 % before it was charged for them.  At n = 50 the same walk prices
+    rate = RateSpec(0.05)
+    harmonic = [Fraction(1, k) for k in range(1, 8001)]
+    small = annuity_value(LifeTable(0, harmonic[:50]), 0, rate)
+    assert small == float(sum(rate.v**t * harmonic[t] for t in range(1, 50)))
+    bits = math.lcm(*range(1, 8001)).bit_length()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=walk_refusal(8000, 0, bits)):
+        annuity_value(LifeTable(0, harmonic), 0, rate)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_table_survival_values():

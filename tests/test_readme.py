@@ -1,40 +1,36 @@
-"""The README's size-limits paragraph names every work ceiling the library checks."""
+"""The README's work-budget table prices every parameter the library charges against WORK_BUDGET."""
 
 import ast
 from pathlib import Path
-
-from demoivre import lifeannuity
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "demoivre").glob("*.py"))
 
 
-def ceiling_names():
-    """Every constant a check_ceiling call passes as its ceiling, directly or through a function of its module."""
+def charged_names():
+    """The name every charge call gives its parameter, an f-string's fields written as …."""
     names = set()
     for path in SOURCES:
-        tree = ast.parse(path.read_text())
-        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-        for call in ast.walk(tree):
-            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "check_ceiling":
-                ceiling = call.args[1]
-                if isinstance(ceiling, ast.Call):
-                    ceiling = functions[ceiling.func.id]
-                names |= {node.id for node in ast.walk(ceiling) if isinstance(node, ast.Name) and node.id.isupper()}
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "charge":
+                name = call.args[1]
+                parts = name.values if isinstance(name, ast.JoinedStr) else [name]
+                names.add("".join(part.value if isinstance(part, ast.Constant) else "…" for part in parts))
     return names
 
 
-def size_limits_paragraph():
+def budget_section():
+    """The paragraph that names the budget and the table after it."""
     paragraphs = (ROOT / "README.md").read_text().split("\n\n")
-    (paragraph,) = [text for text in paragraphs if "work ceiling" in text]
-    return paragraph
+    (at,) = [i for i, text in enumerate(paragraphs) if "`exactnum.WORK_BUDGET`" in text]
+    table = paragraphs[at + 1]
+    assert all(line.startswith("|") for line in table.splitlines())
+    return paragraphs[at], table
 
 
-def test_every_work_ceiling_is_named_in_the_readme_size_limits():
-    names = ceiling_names()
-    # the annuity walk checks its own ceiling, in years at the rate's size
-    assert isinstance(lifeannuity.ANNUITY_WORK_LIMIT, int)
-    names.add("ANNUITY_WORK_LIMIT")
-    assert {"FACTORIAL_LIMIT", "SIM_REPS_LIMIT", "WALK_LIMIT"} <= names
-    paragraph = size_limits_paragraph()
-    assert [name for name in sorted(names) if f"{name}`" not in paragraph] == []
+def test_every_charged_parameter_is_in_the_readme_budget_table():
+    names = charged_names()
+    assert {"n", "size", "reps", "band width", "samples", "predicted n", "years (annuity price at age …)"} <= names
+    _, table = budget_section()
+    cells = {cell.strip() for line in table.splitlines() for cell in line.split("|")}
+    assert [name for name in sorted(names) if f"`{name}`" not in cells] == []

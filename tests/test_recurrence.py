@@ -10,17 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from demoivre import cli, recurrence
+from demoivre import cli, exactnum
+from demoivre.exactnum import WORK_BUDGET
 from demoivre.recurrence import (
     UNDERFLOW_STAKES,
-    WALK_GAME_STATES,
-    WALK_LIMIT,
     ClosedForm,
     DegenerateSpectrumError,
     DurationSpec,
     Recurrence,
     _power_tolerance,
-    _walk_games_limit,
     demoivre_power,
     duration_exceeds_closed,
     duration_exceeds_exact,
@@ -31,6 +29,8 @@ from demoivre.recurrence import (
     partial_sum,
     solve_recurrence,
 )
+
+from cli_cases import refusal
 
 
 def polynomial_from_roots(roots):
@@ -359,26 +359,20 @@ def test_duration_exact_monotone_and_symmetric():
 
 
 def test_duration_walk_refuses_sizes_it_cannot_list_or_loop_by_name():
-    with pytest.raises(ValueError, match="^n must be at most the work ceiling 3370786, got n of 1329 bits$"):
+    with pytest.raises(ValueError, match="^n of 1329 bits is past the work budget: "):
         duration_exceeds_exact(DurationSpec(4, 0.5, 10**400))
-    # the ceiling names the most games that fit at b, before any buffer is allocated
+    # n games over h = min(b, n + 1) states each way are charged 1000 n (2h + 81), before any buffer is allocated
     for b, games in ((4, 3370786), (2**62, 12226)):
+        assert 1000 * games * (2 * min(b, games + 1) + 81) <= WORK_BUDGET < 1000 * (games + 1) * (2 * min(b, games + 2) + 81)
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=rf"^n must be at most the work ceiling {games}, got n = {sys.maxsize}$"):
+        with pytest.raises(ValueError, match=refusal(1000 * sys.maxsize * (2 * min(b, sys.maxsize + 1) + 81), "n", sys.maxsize)):
             duration_exceeds_exact(DurationSpec(b, 0.5, sys.maxsize))
+        with pytest.raises(ValueError, match=refusal(1000 * (games + 1) * (2 * min(b, games + 2) + 81), "n", games + 1)):
+            duration_exceeds_exact(DurationSpec(b, 0.5, games + 1))
         assert time.perf_counter() - start < 1.0
     # 4 games reach 4 states each way, so stakes of 2^62, 2^60 + 1 or 2^70 walk as b = 5 does
     for b in (2**62, 2**60 + 1, 2**70):
         assert duration_exceeds_exact(DurationSpec(b, 0.5, 4)).hex() == loop_walk_oracle(DurationSpec(5, 0.5, 4)).hex()
-
-
-def test_walk_games_limit_is_the_most_games_within_the_ceiling():
-    def work(b, n):  # n games over min(b, n + 1) states each way, walls and floor included
-        return n * (2 * min(b, n + 1) + 1 + WALK_GAME_STATES)
-
-    for b in [*range(1, 40), 12000, 12227, 12228, 12300, 10**6, 2**62]:
-        games = _walk_games_limit(b)
-        assert work(b, games) <= WALK_LIMIT < work(b, games + 1), b
 
 
 def test_duration_closed_refuses_a_huge_even_b_at_once():
@@ -564,12 +558,13 @@ def test_factor_unity_cube_minus_one():
 
 
 def test_factor_unity_degree_stops_at_its_work_ceiling(monkeypatch):
+    # a degree is charged 60000
     expected = factor_unity(24, -1)
-    monkeypatch.setattr(recurrence, "UNITY_LIMIT", 24)
+    monkeypatch.setattr(exactnum, "WORK_BUDGET", 24 * 60000)
     assert factor_unity(24, -1) == expected
-    with pytest.raises(ValueError, match="^n must be at most the work ceiling 24, got n = 25$"):
+    with pytest.raises(ValueError, match=refusal(25 * 60000, "n", 25)):
         factor_unity(25, 1)
-    with pytest.raises(ValueError, match="^n must be at most the work ceiling 24, got n of 1329 bits$"):
+    with pytest.raises(ValueError, match="^n of 1329 bits is past the work budget: "):
         factor_unity(10**400, 1)
 
 

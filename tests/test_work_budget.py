@@ -1,0 +1,85 @@
+"""One work budget: each budgeted leaf accepts the largest input its cost fits and refuses one more,
+checked at the charge, before any work."""
+
+import math
+import time
+from fractions import Fraction
+
+import pytest
+
+from demoivre import binomlimit, conics, exactnum, games, lifeannuity, recurrence
+from demoivre.binomlimit import TrialSpec
+from demoivre.exactnum import charge
+
+from cli_cases import refusal
+
+
+class Accepted(Exception):
+    """Raised in place of the work once charge has accepted its cost."""
+
+
+@pytest.fixture
+def stop_at_charge(monkeypatch):
+    """Make module's charge raise Accepted where the real one accepts, so no work runs."""
+
+    def patch(module):
+        def checked(cost, name, value):
+            charge(cost, name, value)
+            raise Accepted(cost)
+
+        monkeypatch.setattr(module, "charge", checked)
+
+    return patch
+
+
+def annuity_law(rate):
+    return lambda omega: lifeannuity.annuity_value(lifeannuity.DeMoivreLaw(omega), 0, lifeannuity.RateSpec(rate))
+
+
+# (leaf, module whose charge it calls, call of the value, the most it accepts)
+BOUNDARIES = [
+    ("num factorial --n", exactnum, exactnum.factorial, 100_000),
+    ("games deck-odds --size", games, games.deck_match_odds, 100_000),
+    ("binom simulate --reps", binomlimit, lambda reps: binomlimit.simulate_band(TrialSpec(100), 1.0, reps, 1), 10**7),
+    # a c past every count makes the band 0..n, of width n + 1
+    ("binom exact band width", binomlimit,
+     lambda width: binomlimit.exact_central_probability(TrialSpec(width - 1), 1e308), 2 * 10**7),
+    ("conic inverse-square --samples", conics,
+     lambda samples: conics.inverse_square_constant(conics.Ellipse(2.0, 1.0), samples), 4 * 10**6),
+    ("factor unity --n", recurrence, lambda n: recurrence.factor_unity(n, 1), 5 * 10**6),
+    ("duration exact --b 4 --n", recurrence,
+     lambda n: recurrence.duration_exceeds_exact(recurrence.DurationSpec(4, 0.5, n)), 3370786),
+    ("annuity value --law at age 0, rate 0.05", lifeannuity, annuity_law(0.05), 24182),
+    ("annuity value --law at age 0, rate 5e-324", lifeannuity, annuity_law(5e-324), 1585),
+]
+
+
+@pytest.mark.parametrize("leaf, module, call, most", BOUNDARIES, ids=[row[0] for row in BOUNDARIES])
+def test_each_leaf_accepts_the_most_its_cost_fits_and_refuses_one_more(stop_at_charge, leaf, module, call, most):
+    stop_at_charge(module)
+    with pytest.raises(Accepted) as accepted:
+        call(most)
+    assert accepted.value.args[0] <= exactnum.WORK_BUDGET
+    with pytest.raises(ValueError, match="is past the work budget"):
+        call(most + 1)
+
+
+def test_sample_size_is_charged_its_predicted_n_past_an_uncharged_stretch(stop_at_charge):
+    half, twentieth = Fraction(1, 2), Fraction(1, 20)
+    # the normal approximation predicts n = pq (z/c)^2, 60 n^2 bits(d) units, d = 2 here:
+    # 153659 at c = 1/400 is refused within a second, after the uncharged stretch to n = 5000
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=refusal(120 * 153659**2, "predicted n", 153659)):
+        binomlimit.sample_size(half, Fraction(1, 400), twentieth)
+    assert time.perf_counter() - start < 1
+    # alpha/2 past the least double: z^2 is bounded by 2 ln(2/alpha)
+    predicted = -(-Fraction(2 * math.log(2 * 10**400)) / 4 * 400 // 1)
+    with pytest.raises(ValueError, match=refusal(120 * predicted**2, "predicted n", predicted)):
+        binomlimit.sample_size(half, twentieth, Fraction(1, 10**400))
+    # a large alpha can stop the scan long before its prediction, 113735 here: the stretch is not charged
+    assert binomlimit.sample_size(half, Fraction(1, 1000), half) == 2
+    # the scan's 38301 at c = 1/200 (1.6 s) is predicted as 38415, within the budget
+    stop_at_charge(binomlimit)
+    with pytest.raises(Accepted) as accepted:
+        binomlimit.sample_size(half, Fraction(1, 200), twentieth)
+    assert accepted.value.args[0] == 120 * 38415**2
