@@ -216,7 +216,8 @@ def revert_series(s: PowerSeries, order: int) -> PowerSeries:
 
     The powers of t are kept as rows [x^d] t^j; order m adds only their
     degree-m entries (and the new row t^m), so s is never recomposed with
-    the partial inverse and the work is O(order^3) products, not O(order^4).
+    the partial inverse and the work is O(order^2 N) products for N
+    coefficients of s, at most O(order^3), not O(order^4).
     The rows are taken in integers, see _revert_integers.
     """
     _check_order(order)
@@ -238,20 +239,23 @@ def _revert_integers(S, order: int) -> list:
     the degree-m equation S_1 T_m + sum_(j >= 2) S_j [x^m] T^j = 0, times
     A^(2m - 2), reads B_m = -sum_(j >= 2) S_j R_j[m] A^(j - 2).  So no
     division is made until the end: for s = S/D the reversion is
-    t(x) = T(D x), whose b_m = B_m D^m / A^(2m - 1).
+    t(x) = T(D x), whose b_m = B_m D^m / A^(2m - 1).  That sum reads only
+    the rows j <= len(S), and row j needs only row j - 1, so no row past
+    len(S) is built: the work is O(order^2 len(S)) products.
     """
     a = S[0]
     B = [1]  # B_1 = T_1 * A = 1
     rows = [B]  # rows[j - 1][d - 1] = R_j[d]; R_1 = B, and R_j[d] = 0 for d < j
     a_pow = [1]  # a_pow[j - 2] = A^(j - 2)
     for m in range(2, order + 1):
-        rows.append([0] * (m - 1))
-        a_pow.append(a_pow[-1] * a)
+        if m <= len(S):
+            rows.append([0] * (m - 1))
+            a_pow.append(a_pow[-1] * a)
         total = 0
-        for j in range(2, m + 1):
+        for j in range(2, min(m, len(S)) + 1):
             lower = rows[j - 2]  # R_(j-1), already extended to degree m unless it is B
             rows[j - 1].append(sum(lower[i - 1] * B[m - i - 1] for i in range(j - 1, m)))
-            if j <= len(S) and S[j - 1]:
+            if S[j - 1]:
                 total += S[j - 1] * rows[j - 1][m - 1] * a_pow[j - 2]
         B.append(-total)
     return B

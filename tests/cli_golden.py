@@ -190,6 +190,9 @@ EDGE_INVOCATIONS = [
     ["binom", "sample-size", "--p", "1/2", "--c", "1/400", "--alpha", "1/20"],
     ["binom", "sample-size", "--p", "1/2", "--c", "1/1000000000", "--alpha", "1/100"],
     ["num", "factorial", "--n", "100000000000"],
+    ["num", "binom", "--n", "10000000", "--k", "5000000"],
+    ["num", "binom", "--n", "100000000", "--k", "50000000"],
+    ["num", "binom", "--n", HUGE, "--k", "1" + "0" * 200],
     ["games", "deck-odds", "--size", "100000000000"],
     ["binom", "simulate", "--n", "100", "--c", "1", "--reps", "9223372036854775807", "--seed", "1"],
     ["duration", "exact", "--b", "4", "--p", "0.5", "--n", "9223372036854775807"],

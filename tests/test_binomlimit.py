@@ -95,6 +95,10 @@ def bands(draw):
 @example((12, Fraction(1, 3), 7, 6))  # empty band
 @example((30, Fraction(7, 9), 20, 27))  # p > 1/2
 @example((30, Fraction(0.3), 5, 14))  # float p via its binary value
+@example((140, Fraction(2, 5), 10, 72))  # 63 terms: one block short of full
+@example((140, Fraction(2, 5), 10, 73))  # 64 terms: one full block
+@example((140, Fraction(1, 3), 5, 69))  # 65 terms: a block and one term
+@example((140, Fraction(7, 9), 3, 131))  # 129 terms: two blocks and one term
 def test_band_mass_matches_termwise_and_pascal_oracles(band):
     n, p, lo, hi = band
     value = _band_mass(n, p, lo, hi)
@@ -102,6 +106,29 @@ def test_band_mass_matches_termwise_and_pascal_oracles(band):
     assert value == pascal_mass(n, p, range(lo, hi + 1))
     if lo == 0 and hi == n:
         assert value == 1
+
+
+@pytest.mark.parametrize("p", [HALF, Fraction(2, 5)])
+def test_band_mass_of_a_full_row_of_4096_is_one(p):
+    value = _band_mass(4096, p, 0, 4096)
+    assert (value.numerator, value.denominator) == (1, 1)
+
+
+def test_band_mass_with_a_61_bit_denominator_matches_termwise_oracle():
+    p = Fraction(1, 2**61 - 1)
+    lo, hi = band_bounds(TrialSpec(4096, p), 1)
+    assert hi - lo + 1 == 33
+    value = _band_mass(4096, p, lo, hi)
+    expected = termwise_band_mass(4096, p, lo, hi)
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+
+
+def test_band_mass_with_a_binary_p_matches_termwise_and_pascal_oracles():
+    p = Fraction(0x9E37_79B9_7F4A_7C1, 2**60)  # odd numerator: d = 2^60, p ~ 0.618
+    lo, hi = band_bounds(TrialSpec(600, p), 1)
+    value = _band_mass(600, p, lo, hi)
+    assert value == termwise_band_mass(600, p, lo, hi) == pascal_mass(600, p, range(lo, hi + 1))
+    assert value.denominator.bit_length() > 600 * 59
 
 
 @settings(max_examples=200, deadline=None)

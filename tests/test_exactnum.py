@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from demoivre import exactnum
 from demoivre.exactnum import (
@@ -14,6 +16,7 @@ from demoivre.exactnum import (
     exact_input,
     factorial,
     odds_from_probability,
+    over_power,
     probability_from_odds,
 )
 
@@ -55,6 +58,52 @@ def test_factorial_is_charged_30_n_squared():
     assert exactnum.WORK_BUDGET == 30 * 100_000**2
     with pytest.raises(ValueError, match="^n = 100001 is past the work budget: it costs 300006000030 units, "):
         factorial(100_001)
+
+
+def test_binomial_is_charged_its_bits_squared_and_its_sieve():
+    # 10^18 choose 3 takes math.comb: no sieve, 179 bits
+    assert binomial_coefficient(10**18, 3) == math.comb(10**18, 3)
+    # j log2(e n / j) bits, the log rounded up to 1/64: 5 10^6 * 157 // 64 here
+    bits = 12265625
+    with pytest.raises(ValueError, match=f"^n = 10000000 is past the work budget: it costs {bits**2 // 12 + 2 * 10**10} units, "):
+        binomial_coefficient(10**7, 5 * 10**6)
+    with pytest.raises(ValueError, match="^n of 1329 bits is past the work budget: it costs at least 2"):
+        binomial_coefficient(10**400, 10**200)
+
+
+def test_over_power_rejects_a_base_below_one_and_a_negative_exponent():
+    for base, exponent in [(0, 3), (-2, 3), (2, -1)]:
+        with pytest.raises(ValueError, match="over_power requires base >= 1 and exponent >= 0"):
+            over_power(6, base, exponent)
+
+
+@st.composite
+def over_powers(draw):
+    base = draw(st.one_of(st.sampled_from([1, 2, 12, 10**16, 2**61 - 1]), st.integers(1, 10**20)))
+    exponent = draw(st.integers(0, 80))
+    # a shared factor base^t times a cofactor that may share part of the base again
+    t = draw(st.integers(0, exponent + 3))
+    numerator = draw(st.integers(-(10**30), 10**30)) * base**t
+    return numerator, base, exponent
+
+
+@settings(max_examples=300, deadline=None)
+@given(over_powers())
+@example((5, 12, 0))  # exponent 0
+@example((0, 12, 7))  # numerator 0
+@example((12**7, 12, 7))  # numerator = base^exponent
+@example((-(12**9), 12, 7))  # a negative multiple of the denominator
+@example((3**5 * 2**40 * 7, 12, 30))  # the base's primes at different depths
+@example((10**16 * 10**5, 10**16, 4))
+@example(((2**61 - 1) ** 3 * 5, 2**61 - 1, 64))
+def test_over_power_matches_fraction(case):
+    numerator, base, exponent = case
+    value, expected = over_power(numerator, base, exponent), Fraction(numerator, base**exponent)
+    assert type(value) is Fraction
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+    assert hash(value) == hash(expected) and value == expected
+    step, expected_step = value * Fraction(base, 3) + 1, expected * Fraction(base, 3) + 1
+    assert (step.numerator, step.denominator) == (expected_step.numerator, expected_step.denominator)
 
 
 def test_factorial_examples():

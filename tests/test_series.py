@@ -302,12 +302,7 @@ small_rationals = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(small_rationals, min_size=1, max_size=10).map(series_from_rationals), st.integers(1, 12))
-@example(series_from_rationals([1]), 1)  # order 1
-@example(series_from_rationals([-3, 0, 0, 2]), 9)  # negative a_1, zeros, order above the input length
-@example(series_from_rationals([0, 1]), 4)  # not invertible
-def test_revert_matches_composition_route_bit_for_bit(s, order):
+def assert_revert_matches_composition_route(s, order):
     try:
         expected = revert_by_composition(s, order).coefficients
     except ValueError as exc:
@@ -315,6 +310,25 @@ def test_revert_matches_composition_route_bit_for_bit(s, order):
             revert_series(s, order)
         return
     assert revert_series(s, order).coefficients == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(small_rationals, min_size=1, max_size=10).map(series_from_rationals), st.integers(1, 12))
+@example(series_from_rationals([1]), 1)  # order 1
+@example(series_from_rationals([-3, 0, 0, 2]), 9)  # negative a_1, zeros, order above the input length
+@example(series_from_rationals([0, 1]), 4)  # not invertible
+def test_revert_matches_composition_route_bit_for_bit(s, order):
+    assert_revert_matches_composition_route(s, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda size: st.tuples(
+    st.lists(small_rationals, min_size=size, max_size=size).map(series_from_rationals), st.integers(size + 1, 15))))
+@example((series_from_rationals([2, 0, 0, 0, 0]), 15))  # zeros after a_1: their rows are still built
+def test_revert_of_a_short_series_to_a_high_order_matches_composition_route(case):
+    s, order = case
+    assert s.order < order
+    assert_revert_matches_composition_route(s, order)
 
 
 def outcome(kernel, *args):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from demoivre import binomlimit, conics, exactnum, games, lifeannuity, recurrence
+from demoivre import binomlimit, cli, conics, exactnum, games, lifeannuity, recurrence
 from demoivre.binomlimit import TrialSpec
 from demoivre.exactnum import charge
 
@@ -39,6 +39,8 @@ def annuity_law(rate):
 # (leaf, module whose charge it calls, call of the value, the most it accepts)
 BOUNDARIES = [
     ("num factorial --n", exactnum, exactnum.factorial, 100_000),
+    ("num binom --n at k = n // 2", exactnum, lambda n: exactnum.binomial_coefficient(n, n // 2), 1538943),
+    ("num binom --k at n = 10^18", exactnum, lambda k: exactnum.binomial_coefficient(10**18, k), 41331),
     ("games deck-odds --size", games, games.deck_match_odds, 100_000),
     ("binom simulate --reps", binomlimit, lambda reps: binomlimit.simulate_band(TrialSpec(100), 1.0, reps, 1), 10**7),
     # a c past every count makes the band 0..n, of width n + 1
@@ -62,6 +64,13 @@ def test_each_leaf_accepts_the_most_its_cost_fits_and_refuses_one_more(stop_at_c
     assert accepted.value.args[0] <= exactnum.WORK_BUDGET
     with pytest.raises(ValueError, match="is past the work budget"):
         call(most + 1)
+
+
+def test_num_binom_past_the_budget_exits_before_the_sieve():
+    start = time.perf_counter()
+    code, out, err = cli.dispatch(["num", "binom", "--n", "10000000", "--k", "5000000"])
+    assert time.perf_counter() - start < 0.05
+    assert (code, out) == (3, "") and "n = 10000000 is past the work budget" in err
 
 
 def test_sample_size_is_charged_its_predicted_n_past_an_uncharged_stretch(stop_at_charge):
