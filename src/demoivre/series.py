@@ -1,10 +1,12 @@
 """Truncated formal power series without constant term.
 
-Coefficients are indexed from degree 1 and are exact rationals.  Raising
-to a power goes through the multinomial rule -- each output coefficient is
-assembled from exponent multisets and their permutation counts -- and is
-required to agree with plain repeated multiplication, which the tests
-exercise as an independent oracle.
+Coefficients are indexed from degree 1 and are exact rationals.  Every
+product of two series goes through one kernel, _products: multiplying,
+composing, and raising to a power by binary powering.  De Moivre's
+multinomial rule lists the exponent multisets of a power with their
+permutation counts (`multinomial_coefficient_terms`); the tests assemble
+each coefficient of s^p from it, as the oracle that raising is checked
+against.
 
 Every kernel clears denominators once (integer numerators over one
 common denominator), runs its loops on Python ints and builds one Fraction
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import exact_input
+from .exactnum import charge, exact_input
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,11 @@ def _clear_denominators(coefficients):
     exact = [exact_input(c, f"coefficient of x^{degree}") for degree, c in enumerate(coefficients, start=1)]
     den = math.lcm(*(c.denominator for c in exact))
     return [c.numerator * (den // c.denominator) for c in exact], den
+
+
+def _log2(x: int) -> int:
+    """ceil(log2 x) for x >= 1: the bits a factor x adds to a product."""
+    return (x - 1).bit_length()
 
 
 def _over(numerators, den) -> PowerSeries:
@@ -111,6 +118,11 @@ def multinomial_coefficient_terms(m: int, p: int):
     recursion limit: the last two parts are placed together, and the next
     prefix raises its rightmost part that can grow by one and sets every
     part after it to that value.
+
+    Less one from each part, a row is a partition of m - p into at most p
+    parts.  Before any row is listed the rows are counted by the
+    O(p (m - p)) table of such partitions, charged 8000 units a cell, and
+    then charged 50000 (p + 15) units each, listed and printed.
     """
     if p < 1:
         raise ValueError("power must be >= 1")
@@ -119,6 +131,9 @@ def multinomial_coefficient_terms(m: int, p: int):
     pair = p - 2  # parts[pair] and parts[pair + 1] are placed together
     if pair < 0:
         return [((m,), 1)]
+    charge(8000 * (m - p) * min(p, m - p), "degree", m)
+    rows = _partition_count(m - p, p)
+    charge(50000 * rows * (p + 15), "rows", rows)
     out = []
     parts = [1] * pair
     counts = [1] * (p - 1)  # counts[k]: the count of parts[:k]
@@ -145,33 +160,70 @@ def multinomial_coefficient_terms(m: int, p: int):
         least = parts[k] + 1
 
 
-def _multinomial_sums(c, p: int, order: int) -> list:
-    """Degree-m coefficients of s^p by the multinomial rule; c[e] = a_e."""
-    out = [0] * order
-    for m in range(p, order + 1):
-        total = 0
-        for exponents, count in multinomial_coefficient_terms(m, p):
-            prod = count
-            for e in exponents:
-                prod = prod * c[e]
-            total += prod
-        out[m - 1] = total
-    return out
+def _partition_count(n: int, k: int) -> int:
+    """The partitions of n into at most k parts, which are those into parts of at most k."""
+    counts = [1] + [0] * n
+    for part in range(1, min(k, n) + 1):
+        for i in range(part, n + 1):
+            counts[i] += counts[i - part]
+    return counts[n]
+
+
+def _power(x, p: int, times):
+    """x^p by binary powering (Knuth, TAOCP 2, 4.6.3): at most 2 floor(log2 p) calls of times."""
+    out = None
+    while True:
+        if p & 1:
+            out = x if out is None else times(out, x)
+        p >>= 1
+        if not p:
+            return out
+        x = times(x, x)
 
 
 def raise_series(s: PowerSeries, p: int, order: int) -> PowerSeries:
-    """s**p truncated at the given degree, via the multinomial rule.
+    """s**p truncated at the given degree, by binary powering over _products.
 
-    The degree-m coefficient is the sum over exponent multisets
-    {e_1 <= ... <= e_p, sum e_i = m} of (permutation count) * prod a_{e_i}.
+    With v leading zeros among the numerators, s = x^(v + 1) u for a
+    polynomial u with u(0) != 0, so s^p = x^(p (v + 1)) u^p and only the
+    first n = order - p (v + 1) + 1 coefficients of u^p reach the order:
+    none when p (v + 1) > order: the zero series, charged only its order
+    Fractions, with den^p never formed.  u^p is taken by _power, each
+    product stopping at the fewer of n and the terms its factors reach,
+    so a monomial stays one term at any p.
+
+    Charged before any product: _power is first run on (length, power)
+    pairs alone, which sums the pairs of terms each product will take,
+    20000 units each plus 100 a word of one factor's integers times a word
+    of the other's, u^j's having at most j log2(u's sum) bits; each of the
+    order Fractions costs 300000 units plus 1500 a word of den^p, and each
+    of the at most n that are not zero 700 a squared word of the result.
     """
     if p < 1:
         raise ValueError("power must be >= 1")
     _check_order(order)
     numerators, den = _clear_denominators(s.coefficients[:order])
-    # c[e] = a_e, and 0 past the truncation order, as s.coefficient(e) gives
-    c = [0, *numerators, *[0] * (order - s.order)]
-    return _over(_multinomial_sums(c, p, order), den**p)
+    nonzero = [i for i, a in enumerate(numerators) if a]
+    v = nonzero[0] if nonzero else order
+    n = order - p * (v + 1) + 1
+    if n < 1:  # s^p starts past the order
+        charge(order * 300000, "order", order)
+        return _over([0] * order, 1)
+    u = numerators[v : nonzero[-1] + 1][:n]
+    bits, cost = _log2(sum(map(abs, u))), 0
+
+    def count(f, g):
+        nonlocal cost
+        (lf, jf), (lg, jg) = f, g
+        cost += lf * lg * (20000 + 100 * (1 + jf * bits // 64) * (1 + jg * bits // 64))
+        return min(n, lf + lg - 1), jf + jg
+
+    k = _power((len(u), 1), p, count)[0]
+    w, d = 1 + p * (bits + _log2(den)) // 64, 1 + p * _log2(den) // 64
+    charge(cost + order * (300000 + 1500 * d) + k * 700 * w * w, "order", order)
+    # x f times x g by _products is x (x f g): its first term is zero
+    up = _power(u, p, lambda f, g: _products(f, g, min(n, len(f) + len(g) - 1) + 1)[1:])
+    return _over([0] * (p * (v + 1) - 1) + up + [0] * (n - len(up)), den**p)
 
 
 def _composition(f, g, order: int) -> list:
@@ -198,10 +250,22 @@ def compose_series(f: PowerSeries, g: PowerSeries, order: int) -> PowerSeries:
     higher degrees and the sum below is finite.  With f = F/D and g = G/E
     over integers, E^j g^j = G^j is integral, so f_j g^j is
     F_j E^(order - j) G^j over the one denominator D E^order.
+
+    Charged before any product: each of the order powers G^j takes
+    order len(G) pairs, 20000 units each plus 100 a word of G^j times a
+    word of G; each F_j takes order more, 20000 units each plus 700 a
+    squared word of the result; and each of the order Fractions costs
+    300000 units plus 700 a squared word.  G^j has at most j log2(sum |G|)
+    bits, the result order (log2(sum |G|) + log2 E) + log2(sum |F|) + log2 D.
     """
     _check_order(order)
     fn, fd = _clear_denominators(f.coefficients[:order])
     gn, gd = _clear_denominators(g.coefficients[:order])
+    grows = _log2(sum(map(abs, gn)))
+    w, u = 1 + order * grows // 64, 1 + max(map(abs, gn)).bit_length() // 64
+    v = 1 + (order * (grows + _log2(gd)) + _log2(sum(map(abs, fn))) + _log2(fd)) // 64
+    products = len(gn) * order * order * (20000 + 100 * w * u) + len(fn) * order * (20000 + 700 * v * v)
+    charge(products + order * (300000 + 700 * v * v), "order", order)
     scaled = [fj * gd ** (order - j) for j, fj in enumerate(fn, start=1)]
     return _over(_composition(scaled, gn, order), fd * gd**order)
 
@@ -219,12 +283,22 @@ def revert_series(s: PowerSeries, order: int) -> PowerSeries:
     the partial inverse and the work is O(order^2 N) products for N
     coefficients of s, at most O(order^3), not O(order^4).
     The rows are taken in integers, see _revert_integers.
+
+    Charged before any product: each of the (len(S) - 1) order^2 / 2
+    products of the rows 20000 units plus 60 a squared word of their
+    largest integers, which grow by about b = log2 max |S| + log2 len(S)
+    + 1 bits a degree; and each of the order Fractions 300000 units plus
+    700 a squared word of b + log2 D + 2 log2 |A| bits a degree.
     """
     _check_order(order)
     numerators, den = _clear_denominators(s.coefficients[:order])
     a = numerators[0]
     if a == 0:
         raise ValueError("series with zero linear coefficient is not invertible")
+    b = _log2(max(map(abs, numerators))) + _log2(len(numerators)) + 1
+    w, v = 1 + order * b // 64, 1 + order * (b + _log2(den) + 2 * _log2(abs(a))) // 64
+    products = (len(numerators) - 1) * order * order * (10000 + 30 * w * w)
+    charge(products + order * (300000 + 700 * v * v), "order", order)
     scaled = _revert_integers(numerators, order)
     return PowerSeries(tuple(Fraction(bm * den**m, a ** (2 * m - 1)) for m, bm in enumerate(scaled, 1)))
 

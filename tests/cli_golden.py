@@ -164,6 +164,8 @@ EDGE_INVOCATIONS = [
     # more parts than the interpreter's recursion limit
     ["series", "multinomial", "--degree", "1000", "--power", "1000"],
     ["series", "raise", "--coeffs", "1", "--power", "1000", "--order", "1000"],
+    # a power past the order: s^p starts at degree p, so 2^(10^12) is never formed
+    ["series", "raise", "--coeffs", "1/2", "--power", "1000000000000", "--order", "3"],
     # a closed form whose product of weight differences underflows to 0
     ["duration", "closed", "--b", "1200", "--p", "0.3", "--n", "100"],
     ["duration", "closed", "--b", "100000000000000000000", "--p", "0.5", "--n", "10"],
@@ -207,6 +209,10 @@ EDGE_INVOCATIONS = [
     ["conic", "inverse-square", "--a", "2", "--b", "1", "--samples", "100000000000"],
     ["factor", "unity", "--n", "100000000000", "--sign", "1"],
     ["binom", "exact", "--n", "1000000000000000000000000", "--c", "1"],
+    ["series", "revert", "--coeffs", "1,1", "--order", "100000"],
+    ["series", "compose", "--f", "1,1", "--g", "1,1", "--order", "100000"],
+    ["series", "raise", "--coeffs", "1,1", "--power", "2", "--order", "100000000"],
+    ["series", "multinomial", "--degree", "400", "--power", "40"],
     # stakes far past what n games reach: the walk keeps only the reachable states
     ["duration", "exact", "--b", "4611686018427387904", "--p", "0.5", "--n", "4"],
     ["duration", "exact", "--b", "4000000000000000000000", "--p", "0.5", "--n", "4"],

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -358,12 +359,29 @@ def test_multiply_and_compose_match_the_oracles(f, g, order):
     assert outcome(compose_series, f, g, order) == outcome(compose_oracle, f, g, order)
 
 
+# raise_series squares and multiplies by _products; the oracle assembles every
+# coefficient by De Moivre's multinomial rule instead.
 @settings(max_examples=200, deadline=None)
-@given(exact_series, st.integers(1, 6), st.integers(1, 12))
+@given(exact_series, st.integers(1, 9), st.integers(1, 20))
 @example(PowerSeries((Fraction(5, 12), 0, Fraction(-7, 11))), 5, 12)
+@example(PowerSeries((Fraction(1, 3), -2, 0, Fraction(5, 7))), 4, 20)  # pure squarings
+@example(PowerSeries((1, Fraction(-1, 2), 3)), 8, 20)
+@example(PowerSeries((2, Fraction(1, 5), -1)), 7, 20)  # every bit of p set
+@example(PowerSeries((Fraction(3, 4), 1, 0, 0, 0)), 3, 12)  # trailing zero coefficients
+@example(PowerSeries((0, Fraction(2, 3), 0, -1)), 6, 20)  # leading zeros: s = x^2 u
+@example(PowerSeries((0, 0, 5)), 6, 18)  # a monomial, its power at the order
 @example(PowerSeries((2, 3)), 3, 2)  # order below the power: all zero
+@example(PowerSeries((Fraction(1, 3), 2)), 21, 20)  # a fractional series, p past the order
 def test_raise_matches_the_oracle(s, p, order):
     assert outcome(raise_series, s, p, order) == outcome(raise_oracle, s, p, order)
+
+
+def test_a_monomial_or_a_power_past_the_order_answers_at_once():
+    # s^p starts at degree p: 2^(10^12) is never formed, and x^p stays one term
+    start = time.perf_counter()
+    assert outcome(raise_series, PowerSeries((Fraction(1, 2),)), 10**12, 3) == ((Fraction, 0),) * 3
+    assert outcome(raise_series, PowerSeries((1,)), 10**4, 10**4) == ((Fraction, 0),) * 9999 + ((Fraction, 1),)
+    assert time.perf_counter() - start < 0.05
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from demoivre import binomlimit, cli, conics, exactnum, games, lifeannuity, recurrence
+from demoivre import binomlimit, cli, conics, exactnum, games, lifeannuity, recurrence, series
 from demoivre.binomlimit import TrialSpec
 from demoivre.exactnum import charge
 
@@ -22,10 +22,13 @@ class Accepted(Exception):
 def stop_at_charge(monkeypatch):
     """Make module's charge raise Accepted where the real one accepts, so no work runs."""
 
-    def patch(module):
+    def patch(module, at=None):
+        """Stop at the first accepted charge, or at the first of the given name."""
+
         def checked(cost, name, value):
             charge(cost, name, value)
-            raise Accepted(cost)
+            if at in (None, name):
+                raise Accepted(cost)
 
         monkeypatch.setattr(module, "charge", checked)
 
@@ -53,6 +56,17 @@ BOUNDARIES = [
      lambda n: recurrence.duration_exceeds_exact(recurrence.DurationSpec(4, 0.5, n)), 3370786),
     ("annuity value --law at age 0, rate 0.05", lifeannuity, annuity_law(0.05), 24182),
     ("annuity value --law at age 0, rate 5e-324", lifeannuity, annuity_law(5e-324), 1585),
+    ("series raise --coeffs 1,1 --power 2 --order", series,
+     lambda order: series.raise_series(series.PowerSeries((1, 1)), 2, order), 995024),
+    # x^p stays one term, so it is charged the order Fractions it prints, and 1/2's their den^p
+    ("series raise --coeffs 1 --power = --order", series,
+     lambda order: series.raise_series(series.PowerSeries((1,)), order, order), 995022),
+    ("series raise --coeffs 1/2 --power = --order", series,
+     lambda order: series.raise_series(series.PowerSeries((Fraction(1, 2),)), order, order), 106544),
+    ("series revert --coeffs 1,1 --order", series,
+     lambda order: series.revert_series(series.PowerSeries((1, 1)), order), 1727),
+    ("series compose --f 1,1 --g 1,1 --order", series,
+     lambda order: series.compose_series(series.PowerSeries((1, 1)), series.PowerSeries((1, 1)), order), 2468),
 ]
 
 
@@ -64,6 +78,36 @@ def test_each_leaf_accepts_the_most_its_cost_fits_and_refuses_one_more(stop_at_c
     assert accepted.value.args[0] <= exactnum.WORK_BUDGET
     with pytest.raises(ValueError, match="is past the work budget"):
         call(most + 1)
+
+
+def test_series_multinomial_is_charged_its_table_then_its_rows(stop_at_charge):
+    # at power 2 the rows are the (degree - 2) // 2 + 1 pairs: 352941 of them, 17 * 50000 units each
+    stop_at_charge(series, "rows")
+    with pytest.raises(Accepted) as accepted:
+        series.multinomial_coefficient_terms(705883, 2)
+    assert accepted.value.args[0] == 50000 * 352941 * 17
+    with pytest.raises(ValueError, match=refusal(50000 * 352942 * 17, "rows", 352942)):
+        series.multinomial_coefficient_terms(705884, 2)
+    # the counting table costs 8000 units a cell, (degree - power) min(power, degree - power) cells
+    stop_at_charge(series, "degree")
+    with pytest.raises(Accepted):
+        series.multinomial_coefficient_terms(12247, 6123)
+    with pytest.raises(ValueError, match=refusal(8000 * 6124 * 6124, "degree", 12248)):
+        series.multinomial_coefficient_terms(12248, 6124)
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "revert", "--coeffs", "1,1", "--order", "100000"],
+    ["series", "compose", "--f", "1,1", "--g", "1,1", "--order", "100000"],
+    ["series", "raise", "--coeffs", "1,1", "--power", "2", "--order", "100000000"],
+    ["series", "multinomial", "--degree", "400", "--power", "40"],
+], ids=" ".join)
+def test_series_past_the_budget_exit_before_any_product(argv):
+    cli.build_parser()
+    start = time.perf_counter()
+    code, out, err = cli.dispatch(argv)
+    assert time.perf_counter() - start < 0.05
+    assert (code, out) == (3, "") and "is past the work budget" in err
 
 
 def test_num_binom_past_the_budget_exits_before_the_sieve():
