@@ -350,7 +350,9 @@ def sample_size(p, c, alpha) -> int:
     rising edge adds or drops one term.  So each n costs O(1) big-integer
     steps, where a fresh band (_band_mass) costs a binomial coefficient,
     two big powers and a walk over the band.  With 1 - alpha = tn/td the
-    band holds 1 - alpha when M td >= tn d^n.
+    band holds 1 - alpha when M td >= tn d^n, and tn d^n is carried as one
+    integer.  Each step's small factors are multiplied together first, so a
+    big integer meets one small product, not two small factors in turn.
 
     Its integers grow by bits(d) a step, so a scan to n costs about
     60 n^2 bits(d) units.  Past the stretch that costs a hundredth of the
@@ -377,25 +379,25 @@ def sample_size(p, c, alpha) -> int:
     tn, td = target.numerator, target.denominator
     charged_at = math.isqrt(exactnum.WORK_BUDGET // (100 * 60 * d.bit_length())) + 1
     n = lo = hi = 0
-    mass = bottom = top = scale = 1  # M, N_n(lo), N_n(hi) and d^n at n = 0
+    mass, bottom, top, scaled = 1, 1, 1, tn  # M, N_n(lo), N_n(hi) and tn d^n at n = 0
     while True:
         n += 1
         if n == charged_at:
             _charge_scan(p, c, alpha)
-        below = bottom * lo * q // ((n - lo) * a)  # N_{n-1}(lo - 1), 0 at lo = 0
+        below = bottom * (lo * q) // ((n - lo) * a)  # N_{n-1}(lo - 1), 0 at lo = 0
         mass = d * mass + a * (below - top)  # the band lo..hi of n - 1, at n
-        scale *= d
-        bottom = bottom * n * q // (n - lo)
-        top = top * n * q // (n - hi)
+        scaled *= d
+        bottom = bottom * (n * q) // (n - lo)
+        top = top * (n * q) // (n - hi)
         if hi < n * hn // hd:  # hi stays at most n: it rises by at most one per n
-            top = top * (n - hi) * a // ((hi + 1) * q)
+            top = top * ((n - hi) * a) // ((hi + 1) * q)
             hi += 1
             mass += top
         if lo < -(-n * ln // ld):
             mass -= bottom
-            bottom = bottom * (n - lo) * a // ((lo + 1) * q)
+            bottom = bottom * ((n - lo) * a) // ((lo + 1) * q)
             lo += 1
-        if mass * td >= tn * scale:
+        if mass * td >= scaled:
             return n
 
 
@@ -426,8 +428,8 @@ def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int) -> float:
     SeedSequence([seed, index]).  The in-band counts are integers, so their
     sum, and the output, is bit-identical for a given (spec, c, reps, seed)
     whatever the thread count.  That count is min(os.cpu_count(), chunks):
-    each thread counts every threads-th chunk, and a single chunk (or CPU)
-    runs in this thread with no pool.
+    each thread counts every threads-th chunk, the calling thread the first
+    share, and a single chunk (or CPU) starts no thread.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
@@ -435,6 +437,8 @@ def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int) -> float:
         raise ValueError(f"seed must be non-negative, got {seed}")
     check_index(spec.n, "n")
     charge(30000 * reps, "reps", reps)
+    import threading
+
     import numpy as np
 
     lo, hi = band_bounds(spec, c)
@@ -450,9 +454,21 @@ def simulate_band(spec: TrialSpec, c: float, reps: int, seed: int) -> float:
             inside += int(np.count_nonzero((draws >= lo) & (draws <= hi)))
         return inside
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    counts = [0] * threads
 
-        with ThreadPoolExecutor(threads) as pool:
-            return sum(pool.map(count, range(threads))) / reps
-    return count(0) / reps
+    def work(first: int) -> None:
+        try:
+            counts[first] = count(first)
+        except Exception as error:  # raised again in the calling thread
+            counts[first] = error
+
+    workers = [threading.Thread(target=work, args=(first,)) for first in range(1, threads)]
+    for worker in workers:
+        worker.start()
+    work(0)
+    for worker in workers:
+        worker.join()
+    for inside in counts:
+        if isinstance(inside, Exception):
+            raise inside
+    return sum(counts) / reps

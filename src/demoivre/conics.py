@@ -93,30 +93,30 @@ def focal_product(e: Ellipse, theta: float):
     return product, halfdiam_sq
 
 
-def _curvature(e: Ellipse, ct: float, st: float) -> float:
-    return (e.a * e.a * st * st + e.b * e.b * ct * ct) ** 1.5 / (e.a * e.b)
+def _curvature(a: float, b: float, ct: float, st: float) -> float:
+    return (a * a * st * st + b * b * ct * ct) ** 1.5 / (a * b)
 
 
-def _force(e: Ellipse, c: float, ct: float, st: float):
-    """(force, focal radius FM) at the angle t, given c = e.focal_distance, cos t and sin t."""
-    fm = e.a - c * ct
+def _force(a: float, b: float, c: float, ct: float, st: float):
+    """(force, focal radius FM) at the angle t, given the axes a and b, c = the focal distance, cos t and sin t."""
+    fm = a - c * ct
     # tangent line at M: (x cos t)/a + (y sin t)/b = 1
-    fp = abs(c * ct / e.a - 1.0) / math.hypot(ct / e.a, st / e.b)
-    return fm / (_curvature(e, ct, st) * fp**3), fm
+    fp = abs(c * ct / a - 1.0) / math.hypot(ct / a, st / b)
+    return fm / (_curvature(a, b, ct, st) * fp**3), fm
 
 
 @_in_double_range(1)
 def radius_of_curvature(e: Ellipse, theta: float) -> float:
     """(a^2 sin^2 t + b^2 cos^2 t)^(3/2) / (a*b)."""
     check_finite(theta, "angle theta")
-    return _curvature(e, math.cos(theta), math.sin(theta))
+    return _curvature(e.a, e.b, math.cos(theta), math.sin(theta))
 
 
 @_in_double_range(1)
 def centripetal_force(e: Ellipse, theta: float) -> float:
     """FM / (R * FP^3), force centre at the focus (+c, 0)."""
     check_finite(theta, "angle theta")
-    return _force(e, e.focal_distance, math.cos(theta), math.sin(theta))[0]
+    return _force(e.a, e.b, e.focal_distance, math.cos(theta), math.sin(theta))[0]
 
 
 @_in_double_range(1)
@@ -130,14 +130,14 @@ def inverse_square_constant(e: Ellipse, samples: int):
     if samples < 3:
         raise ValueError("need at least three sample angles")
     charge(75000 * samples, "samples", samples)
-    c, turn = e.focal_distance, 2 * math.pi
+    a, b, c, turn = e.a, e.b, e.focal_distance, 2 * math.pi
     low, high = math.inf, -math.inf
 
     def values():
         nonlocal low, high
         for i in range(samples):
             theta = turn * i / samples
-            force, fm = _force(e, c, math.cos(theta), math.sin(theta))
+            force, fm = _force(a, b, c, math.cos(theta), math.sin(theta))
             v = force * fm * fm
             if v < low:
                 low = v

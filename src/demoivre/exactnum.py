@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,11 @@ from itertools import compress, zip_longest
 # Each call whose work grows with its input predicts its cost in these units
 # and charges it before the work starts; the README tabulates every cost.
 WORK_BUDGET = 3 * 10**11
+
+# The primes kept for binomial_coefficient run to the largest n asked for so
+# far, but never past this cap: 6542 primes in an array('I') of 26 KB.
+PRIME_TABLE_CAP = 1 << 16
+_prime_table = (1, array("I"))  # (n, the primes <= n); rebound whole, never changed in place
 
 
 def check_double(n: int, name: str) -> None:
@@ -84,15 +90,19 @@ def binomial_coefficient(n: int, k: int) -> int:
     primes in (n - j, n] have e = 1 and primes in (n/2, n - j] have e = 0.
 
     The sieve makes the prime route cost about linearly in n however small
-    j is, so the route switches on j.  On Python 3.11 (2-CPU Xeon VM) the
-    two routes cost the same at j ~ 650 for n <= 3000, at j ~ 1210 for
-    n = 10^4, 1720 for 2*10^4 and 4300 for 10^5, which 12*isqrt(n) + 300
-    follows within a quarter; at n = 20000, k = 10000 the prime route takes
-    ~1 ms against ~9 ms for math.comb.
+    j is, so the route switches on j.  On Python 3.11 (2-CPU Xeon VM), with
+    a sieve in every call, the two routes cost the same at j ~ 650 for
+    n <= 3000, at j ~ 1210 for n = 10^4, 1720 for 2*10^4 and 4300 for 10^5,
+    which 12*isqrt(n) + 300 follows within a quarter.  The primes now come
+    from the table _primes_upto keeps, so up to PRIME_TABLE_CAP only the
+    first call at a new largest n sieves, and at n = 20000, k = 10000 the
+    prime route takes ~0.4 ms against ~9 ms for math.comb; the switch, and
+    the sieve charge with it, stays where the sieve put it.
 
     Charged, before the sieve, bits^2 / 12 for the bound bits of
     j log2(e n / j) on C(n, k)'s bits (its product, and its printing, grow
-    as their square), plus 2000 n for the sieve when the prime route takes it.
+    as their square), plus 2000 n for the sieve when the prime route takes
+    it, kept or not.
     """
     if n < 0:
         raise ValueError("binomial_coefficient requires n >= 0")
@@ -107,7 +117,7 @@ def binomial_coefficient(n: int, k: int) -> int:
     m = n - j
     primes = _primes_upto(n)
     root, half, top = (bisect_right(primes, x) for x in (math.isqrt(n), n // 2, m))
-    factors = primes[top:]
+    factors = primes[top:].tolist()
     for p in primes[:root]:
         e, power = 0, p
         while power <= n:
@@ -124,17 +134,29 @@ def _by_primes(n: int, j: int) -> bool:
     return j >= 12 * math.isqrt(n) + 300
 
 
-def _primes_upto(n: int) -> list:
-    """The primes <= n, by a sieve over the odd numbers (entry i stands for 2i + 1)."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * ((n + 1) // 2)
+def _primes_upto(n: int) -> array:
+    """The primes <= n as an array('I'): a slice of the kept table, or a sieve over the odd numbers.
+
+    A larger n than the table holds, up to PRIME_TABLE_CAP, is sieved once
+    and its primes replace the table; past the cap each call sieves and
+    keeps nothing.  The table is replaced by rebinding one (n, primes)
+    pair, so a thread reads either the old pair or the new one, whole.
+    """
+    global _prime_table
+    upto, primes = _prime_table
+    if n <= upto:
+        return primes[: bisect_right(primes, n)]
+    sieve = bytearray([1]) * ((n + 1) // 2)  # entry i stands for 2i + 1
     sieve[0] = 0
     for i in range(1, (math.isqrt(n) + 1) // 2):
         if sieve[i]:
             start = 2 * i * (i + 1)  # the entry of (2i + 1)^2
             sieve[start :: 2 * i + 1] = bytes(len(range(start, len(sieve), 2 * i + 1)))
-    return [2, *compress(range(1, n + 1, 2), sieve)]
+    primes = array("I", [2])
+    primes.extend(compress(range(1, n + 1, 2), sieve))
+    if n <= PRIME_TABLE_CAP:
+        _prime_table = n, primes
+    return primes
 
 
 def over_power(numerator: int, base: int, exponent: int) -> Fraction:

@@ -615,12 +615,30 @@ def test_simulate_band_concentration_and_determinism():
 
 
 def test_simulate_band_worker_invariance(monkeypatch):
-    # the pool takes min(os.cpu_count(), chunks) threads; 9999 reps are 3 chunks
+    # the count takes min(os.cpu_count(), chunks) threads; 9999 reps are 3 chunks
     spec = TrialSpec(900, HALF)
     baseline = simulate_band(spec, 1.0, 9999, seed=42)
     for cpus in (1, 2, 4, None):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert simulate_band(spec, 1.0, 9999, seed=42) == baseline
+
+
+def test_simulate_band_raises_the_error_of_a_started_thread(monkeypatch):
+    # on 2 CPUs the second share, chunk 1, is counted in a started thread; its
+    # error reaches the caller instead of leaving that share's count at 0
+    import numpy as np
+
+    make = np.random.default_rng
+
+    def failing(seed):
+        if seed[1] == 1:
+            raise MemoryError("chunk 1")
+        return make(seed)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(np.random, "default_rng", failing)
+    with pytest.raises(MemoryError, match="chunk 1"):
+        simulate_band(TrialSpec(100, HALF), 1.0, 9999, seed=1)
 
 
 @pytest.mark.parametrize("n, reps, seed, p, bits", [

@@ -494,18 +494,25 @@ def test_simulate_sizes_its_own_pool_and_has_no_workers_flag(capsys):
                         "--workers", "4"])
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --workers 4" in capsys.readouterr().err
-    # one chunk, or one CPU, runs without a pool: concurrent.futures is never imported
+    # one chunk, or one CPU, starts no thread, and more start plain threads: concurrent.futures is never imported
     code = (
-        "import os, sys\n"
+        "import os, sys, threading\n"
         "from demoivre import cli\n"
         "simulate = ['binom', 'simulate', '--n', '100', '--c', '1', '--seed', '1', '--reps']\n"
+        "started = threading.Thread.start\n"
+        "threads = []\n"
+        "threading.Thread.start = lambda self: (threads.append(self), started(self))[1]\n"
         "assert cli.dispatch(simulate + ['4096'])[0] == 0\n"
-        "loaded = 'concurrent.futures' in sys.modules\n"
+        "loaded = ['concurrent.futures' in sys.modules]\n"
         "os.cpu_count = lambda: 1\n"
         "assert cli.dispatch(simulate + ['10000'])[0] == 0\n"
-        "print(loaded, 'concurrent.futures' in sys.modules)\n"
+        "loaded.append('concurrent.futures' in sys.modules)\n"
+        "os.cpu_count = lambda: 4\n"
+        "assert cli.dispatch(simulate + ['10000'])[0] == 0\n"
+        "print(*loaded, 'concurrent.futures' in sys.modules, len(threads))\n"
     )
-    assert run_fresh(["-c", code]) == (0, "False False\n", "")
+    # the pooled call, 3 chunks on 4 CPUs, counts the first share itself and starts 2 threads
+    assert run_fresh(["-c", code]) == (0, "False False False 2\n", "")
 
 
 def test_tail_extrapolation_flagged_in_maty_outputs():

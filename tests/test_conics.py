@@ -170,7 +170,7 @@ def test_inverse_square_streams_its_samples_bit_for_bit():
     for a, b, samples in ((2.0, 1.0, 90), (3.0, 2.0, 120), (5.0, 4.0, 1000), (1.5, 1.0, 7), (1e3, 1e-3, 333)):
         e = Ellipse(a, b)
         values = [force * fm * fm for force, fm in (
-            conics._force(e, e.focal_distance, math.cos(t), math.sin(t))
+            conics._force(a, b, e.focal_distance, math.cos(t), math.sin(t))
             for t in (2 * math.pi * i / samples for i in range(samples)))]
         mean = math.fsum(values) / samples
         listed = (mean, max(abs(v - mean) for v in values) / abs(mean))

@@ -1,5 +1,7 @@
 import math
 import random
+from array import array
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -180,10 +182,35 @@ def test_prime_route_matches_comb_at_every_size(monkeypatch):
             assert binomial_coefficient(n, k) == comb_or_zero(n, k), (n, k)
 
 
-def test_sieve_against_trial_division():
-    primes = [p for p in range(2, 3000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
-    for n in (0, 1, 2, 3, 4, 8, 9, 24, 25, 26, 120, 121, 2999):
-        assert _primes_upto(n) == [p for p in primes if p <= n]
+def test_sieve_against_trial_division(monkeypatch):
+    # each order starts from an empty table: ascending calls grow it at every n,
+    # descending ones slice the first call's table, shuffled ones do both
+    primes = [p for p in range(2, 3001) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    ascending = list(range(3001))
+    shuffled = ascending[:]
+    random.Random(3).shuffle(shuffled)
+    for order in (ascending, ascending[::-1], shuffled):
+        monkeypatch.setattr(exactnum, "_prime_table", (1, array("I")))
+        for n in order:
+            assert list(_primes_upto(n)) == primes[: bisect_right(primes, n)], n
+
+
+def test_prime_table_stays_under_its_cap(monkeypatch):
+    monkeypatch.setattr(exactnum, "_prime_table", (1, array("I")))
+    for n in (100, exactnum.PRIME_TABLE_CAP, 70001, 3000):
+        assert _primes_upto(n)[-1] <= n
+        upto, table = exactnum._prime_table
+        assert upto <= exactnum.PRIME_TABLE_CAP and table.itemsize * len(table) <= 32 * 1024
+    assert exactnum._prime_table[0] == exactnum.PRIME_TABLE_CAP  # n = 70001 kept nothing
+
+
+def test_binomial_from_a_shared_prime_table_matches_comb(monkeypatch):
+    monkeypatch.setattr(exactnum, "_prime_table", (1, array("I")))
+    calls = [(n, k) for n in (2999, 3000, 3600, 4096, 20000, 65537, 70001) for k in (n // 3, n // 2)]
+    random.Random(7).shuffle(calls)
+    for n, k in calls:
+        assert _by_primes(n, min(k, n - k))
+        assert binomial_coefficient(n, k) == math.comb(n, k), (n, k)
 
 
 def test_odds_examples():
