@@ -231,6 +231,11 @@ def duration_exceeds_exact(spec: DurationSpec) -> float:
     made a game 10-25 % dearer at b = 50.  p and q stay stride-0 views:
     filled contiguous copies read two more arrays a game, and with numpy
     2.4 timed 2 % slower at b = 50 and 44 % slower at b = 1000, n = 3000.)
+    The two ufuncs are bound to locals before the loop, which saves a global
+    and an attribute lookup per ufunc call: at b = 50, p = 0.51, n = 3000 a walk took
+    3.35-3.50 ms with np.multiply and np.add looked up each game and
+    2.76-3.03 ms with them bound (best of 200, four interleaved runs,
+    2-CPU Xeon VM), the same float.
     A loop over all 2b-1 states (the tests' oracle) forms (0.0 + p*a) + q*c
     in the same order, where a zero term only adds +0.0, so every value is
     the same double.  The sum
@@ -256,10 +261,11 @@ def duration_exceeds_exact(spec: DurationSpec) -> float:
     inner, below, above = v[1:-1], v[:-2], v[2:]
     p, q = (np.broadcast_to(x, 2 * half - 1) for x in (spec.p, 1.0 - spec.p))
     left, right = np.empty(2 * half - 1), np.empty(2 * half - 1)
+    multiply, add = np.multiply, np.add
     for _ in range(spec.n):
-        np.multiply(p, below, left)
-        np.multiply(q, above, right)
-        np.add(left, right, inner)
+        multiply(p, below, left)
+        multiply(q, above, right)
+        add(left, right, inner)
     return min(math.fsum(v.tolist()), 1.0)
 
 

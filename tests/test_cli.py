@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -329,6 +330,38 @@ def test_integers_past_the_str_digit_limit_are_printed():
     assert run_json(["num", "binom", "--n", "20000", "--k", "10000"])["result"] == str(Decimal(n))
     assert cli.canonical(Fraction(1, -n)) == f"-1/{Decimal(n)}"
     assert run(["binom", "exact", "--n", "4096", "--c", "1", "--p", "0.123"])[0] == 0
+
+
+@pytest.mark.parametrize("text", ["a+1", "a01", " a 1", "a\uff11"])
+def test_a_square_int_would_read_as_a1_exits_3(text):
+    message = f"error: bad square {text.strip()!r}\n"
+    assert run(["games", "tour", "--start", text]) == (3, "", message)
+    tour = run_json(["games", "tour", "--start", "a1"])["result"]
+    assert run(["games", "validate", "--squares", tour.replace("a1", text, 1)]) == (3, "", message)
+
+
+# ints of 4301 digits and more: 2^14285 > 10^4300, and the edges hold long runs of 0s and 9s
+PAST_THE_DIGIT_LIMIT = st.one_of(
+    st.builds(lambda bits, seed: random.Random(seed).getrandbits(bits) | 1 << (bits - 1),
+              st.integers(14_286, 200_000), st.integers(0, 2**32)),
+    st.sampled_from([10**4300, 10**4300 + 1, 10**6019 - 1, 7 * 10**5000 + 3, 2**65536, 2**14285]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(PAST_THE_DIGIT_LIMIT, st.sampled_from([1, -1]))
+def test_integers_past_the_str_digit_limit_print_as_unlimited_str_does(n, sign):
+    n *= sign
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = str(n)
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError):  # str() refuses n, so _decimal_str takes the decimal route
+            str(n)
+        assert cli._decimal_str(n) == expected
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_cached_parser_output_matches_fresh_process(capsys):

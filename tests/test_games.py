@@ -229,21 +229,42 @@ def test_tour_type_enforces_invariants():
 
 
 def test_tour_validates_its_squares_before_it_converts_them():
+    import numpy as np
+
     tour = find_tour((0, 0)).squares
     for squares in ([(f + 0.5, r + 0.5) for f, r in tour], [(str(f), str(r)) for f, r in tour]):
         with pytest.raises(ValueError, match="off board at index 0"):
             Tour(tuple(squares))
-    as_floats = Tour(tuple((float(f), float(r)) for f, r in tour)).squares  # whole floats name the cells
-    assert as_floats == tour and all(type(x) is int for square in as_floats for x in square)
+    for first in ((0, 0.5), [0.5, 0], ("0", "0")):
+        with pytest.raises(ValueError, match="off board at index 0"):
+            Tour((first,) + tour[1:])
+    # a square equal to a cell is stored as that cell: a tuple of Python ints
+    for given in (
+        [(float(f), float(r)) for f, r in tour],  # whole floats name the cells
+        [[f, r] for f, r in tour],
+        [(np.int64(f), np.int64(r)) for f, r in tour],
+        [np.array([f, r]) for f, r in tour],
+    ):
+        stored = Tour(tuple(given)).squares
+        assert stored == tour and all(type(square) is tuple for square in stored)
+        assert all(type(x) is int for square in stored for x in square)
 
 
 def test_algebraic_serialization():
     assert square_to_algebraic((0, 0)) == "a1"
     assert square_to_algebraic((7, 7)) == "h8"
     assert algebraic_to_square("e4") == (4, 3)
+    assert algebraic_to_square(" A1 ") == (0, 0)  # outer space and case only
     tour = find_tour((0, 0))
     text = tour_to_text(tour)
     assert text.startswith("a1,")
     assert [algebraic_to_square(field) for field in text.split(",")] == list(tour.squares)
     with pytest.raises(ValueError):
         algebraic_to_square("j9")
+
+
+# a sign, a leading zero, an inner space and a full-width digit: int() read each as 1
+@pytest.mark.parametrize("text", ["a+1", "a01", " a 1", "a\uff11", "a", "a1 1", "a-0", "i1", "a9"])
+def test_algebraic_square_is_one_letter_and_one_ascii_digit(text):
+    with pytest.raises(ValueError, match="^bad square "):
+        algebraic_to_square(text)
